@@ -70,11 +70,11 @@ void BM_DeviceProgramEraseCycle(benchmark::State& state) {
 BENCHMARK(BM_DeviceProgramEraseCycle);
 
 void BM_PageDataXor(benchmark::State& state) {
-  nand::PageData acc;
-  acc.lpn = 0;
-  nand::PageData page;
-  page.lpn = 42;
-  page.signature = 0x1234567890abcdefull;
+  nand::PageImage acc;
+  acc.record.lpn = 0;
+  nand::PageImage page;
+  page.record.lpn = 42;
+  page.record.signature = 0x1234567890abcdefull;
   page.bytes.assign(static_cast<std::size_t>(state.range(0)), 0x5a);
   for (auto _ : state) {
     acc.xor_with(page);

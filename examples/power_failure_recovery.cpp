@@ -21,8 +21,8 @@ std::vector<std::uint8_t> payload(const std::string& text) {
   return {text.begin(), text.end()};
 }
 
-std::string text_of(const nand::PageData& data) {
-  return {data.bytes.begin(), data.bytes.end()};
+std::string text_of(const nand::PageImage& page) {
+  return {page.bytes.begin(), page.bytes.end()};
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ int main() {
   }
 
   // Read one back and verify the payload survived the FTL's placement.
-  const Result<nand::PageData> data = ftl.read_data(3, now);
+  const Result<nand::PageImage> data = ftl.read_data(3, now);
   if (data.is_ok()) {
     const std::string text(data.value().bytes.begin(), data.value().bytes.end());
     std::printf("\nread lpn 3 -> \"%s\"\n", text.c_str());

@@ -40,9 +40,9 @@ FlexFtl::FlexFtl(const ftl::FtlConfig& config)
   }
 }
 
-nand::PageData FlexFtl::zeroed_parity() {
-  nand::PageData d;
-  d.lpn = 0;  // XOR identity; PageData's default LPN is the all-ones sentinel
+nand::PageImage FlexFtl::zeroed_parity() {
+  nand::PageImage d;
+  d.record.lpn = 0;  // XOR identity; PageData's default LPN is the all-ones sentinel
   return d;
 }
 
@@ -51,7 +51,7 @@ Result<Microseconds> FlexFtl::write_lsb(std::uint32_t chip, Lpn lpn,
                                         bool gc, bool cold) {
   ChipState& cs = chips_.at(chip);
   std::optional<std::uint32_t>& fast_slot = cold ? cs.cold_fast : cs.fast;
-  nand::PageData& acc = cold ? cs.cold_acc : cs.parity_acc;
+  nand::PageImage& acc = cold ? cs.cold_acc : cs.parity_acc;
   RingBuffer<std::uint32_t>& queue = cold ? cs.cold_sbqueue : cs.sbqueue;
   if (!fast_slot) {
     // Host-path allocation may trigger foreground GC whose copies recurse
@@ -76,8 +76,9 @@ Result<Microseconds> FlexFtl::write_lsb(std::uint32_t chip, Lpn lpn,
   assert(pos.has_value());  // invariant: an active fast block has LSB space
   const nand::PageAddress addr{chip, fast, *pos};
 
-  acc.xor_with(data);  // parity page buffer accumulates every LSB
-  Result<nand::OpTiming> timing = device_.program(addr, std::move(data), now);
+  // The parity page buffer accumulates every LSB record and its payload.
+  acc.xor_with(data, device_.payloads().find(data.signature));
+  Result<nand::OpTiming> timing = device_.program(addr, data, now);
   assert(timing.is_ok());
   commit_mapping(lpn, addr);
   policy_.note_lsb_write();
@@ -106,7 +107,7 @@ Microseconds FlexFtl::flush_parity(std::uint32_t chip, std::uint32_t fast_block,
 }
 
 Microseconds FlexFtl::flush_parity_from(std::uint32_t chip, std::uint32_t fast_block,
-                                        const nand::PageData& acc, Microseconds now) {
+                                        const nand::PageImage& acc, Microseconds now) {
   // Attribution: the parity program is backup overhead, whatever write
   // path (host LSB completion, GC) triggered the flush.
   const nand::CauseScope cause(device_, nand::WriteCause::kParity);
@@ -137,11 +138,12 @@ Microseconds FlexFtl::flush_parity_from(std::uint32_t chip, std::uint32_t fast_b
   // LPN fields, which is what lets recovery reconstruct a lost page's LPN.
   // Only the spare word is claimed for the inverse map (host pages keep
   // spare = 0, so recovery can still XOR it away).
-  nand::PageData parity = acc;
+  nand::PageData parity = acc.record;
   // Inverse map for power-off recovery, plus the metadata flag that keeps
   // mapping reconstruction from mistaking the parity page for host data.
   parity.spare = fast_block | nand::kNonHostSpareFlag;
-  Result<nand::OpTiming> timing = device_.program(dst, std::move(parity), now);
+  const nand::PayloadPin payload(device_.payloads(), parity.signature, acc.bytes);
+  Result<nand::OpTiming> timing = device_.program(dst, parity, now);
   assert(timing.is_ok());
   ++cs.backup->next_lsb;
   ++cs.backup->live_pages;

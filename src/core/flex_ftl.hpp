@@ -126,11 +126,11 @@ class FlexFtl : public ftl::FtlBase {
   struct ChipState {
     std::optional<std::uint32_t> fast;   // active fast block (host stream)
     RingBuffer<std::uint32_t> sbqueue;  // head = active slow block
-    nand::PageData parity_acc;           // parity page buffer for `fast`
+    nand::PageImage parity_acc;          // parity page buffer for `fast`
     /// Cold stream (GC relocation copies), used when separate_gc_stream:
     std::optional<std::uint32_t> cold_fast;
     RingBuffer<std::uint32_t> cold_sbqueue;
-    nand::PageData cold_acc;
+    nand::PageImage cold_acc;
     std::optional<BackupBlock> backup;   // current backup block
     std::vector<BackupBlock> retiring;   // full backup blocks, still live
     /// slow block -> when its parity page became durable (MSB writes wait).
@@ -162,7 +162,7 @@ class FlexFtl : public ftl::FtlBase {
     std::vector<RetirementLogEntry> retire_log;
   };
 
-  static nand::PageData zeroed_parity();
+  static nand::PageImage zeroed_parity();
 
   Result<Microseconds> write_lsb(std::uint32_t chip, Lpn lpn, nand::PageData data,
                                  Microseconds now, bool gc, bool cold = false);
@@ -174,7 +174,7 @@ class FlexFtl : public ftl::FtlBase {
   Microseconds flush_parity(std::uint32_t chip, std::uint32_t fast_block,
                             Microseconds now);
   Microseconds flush_parity_from(std::uint32_t chip, std::uint32_t fast_block,
-                                 const nand::PageData& acc, Microseconds now);
+                                 const nand::PageImage& acc, Microseconds now);
 
   /// The slow block finished its MSB phase: its parity page is stale.
   void invalidate_parity(std::uint32_t chip, std::uint32_t slow_block,

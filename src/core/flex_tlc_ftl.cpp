@@ -37,9 +37,9 @@ FlexTlcFtl::FlexTlcFtl(const TlcFtlConfig& config)
   }
 }
 
-nand::PageData FlexTlcFtl::zeroed_parity() {
-  nand::PageData d;
-  d.lpn = 0;
+nand::PageImage FlexTlcFtl::zeroed_parity() {
+  nand::PageImage d;
+  d.record.lpn = 0;
   return d;
 }
 
@@ -101,7 +101,7 @@ void FlexTlcFtl::commit_mapping(Lpn lpn, const nand::TlcPageAddress& addr) {
 }
 
 Microseconds FlexTlcFtl::flush_parity(std::uint32_t chip, std::uint32_t block,
-                                      const nand::PageData& acc, bool csb_pass,
+                                      const nand::PageImage& acc, bool csb_pass,
                                       Microseconds now) {
   // Attribution: the parity program is protection overhead, not part of the
   // host or GC pass whose completion triggered the flush.
@@ -116,9 +116,10 @@ Microseconds FlexTlcFtl::flush_parity(std::uint32_t chip, std::uint32_t block,
   }
   const nand::TlcPageAddress dst{chip, cs.backup->block,
                                  {cs.backup->next_lsb, nand::TlcPageType::kLsb}};
-  nand::PageData parity = acc;
+  nand::PageData parity = acc.record;
   parity.spare = static_cast<std::uint64_t>(block) | nand::kNonHostSpareFlag;
-  const Result<nand::OpTiming> timing = device_.program(dst, std::move(parity), now);
+  const nand::PayloadPin payload(device_.payloads(), parity.signature, acc.bytes);
+  const Result<nand::OpTiming> timing = device_.program(dst, parity, now);
   assert(timing.is_ok());
   ++cs.backup->next_lsb;
   ++cs.backup->live_pages;
@@ -206,13 +207,14 @@ Result<Microseconds> FlexTlcFtl::write_pass(std::uint32_t chip, nand::TlcPageTyp
   assert(pos.has_value());
   const nand::TlcPageAddress addr{chip, block, *pos};
 
-  if (pass == nand::TlcPageType::kLsb) cs.lsb_acc.xor_with(data);
+  const std::span<const std::uint8_t> payload = device_.payloads().find(data.signature);
+  if (pass == nand::TlcPageType::kLsb) cs.lsb_acc.xor_with(data, payload);
   if (pass == nand::TlcPageType::kCsb) {
     auto [it, inserted] = cs.csb_acc.try_emplace(block, zeroed_parity());
-    it->second.xor_with(data);
+    it->second.xor_with(data, payload);
   }
 
-  const Result<nand::OpTiming> timing = device_.program(addr, std::move(data), now);
+  const Result<nand::OpTiming> timing = device_.program(addr, data, now);
   assert(timing.is_ok());
   ++chips_[chip].written[block];
   commit_mapping(lpn, addr);
@@ -258,7 +260,7 @@ Result<Microseconds> FlexTlcFtl::write(Lpn lpn, Microseconds now,
   return write_data(lpn, {}, now, buffer_utilization);
 }
 
-Result<Microseconds> FlexTlcFtl::write_data(Lpn lpn, std::vector<std::uint8_t> bytes,
+Result<Microseconds> FlexTlcFtl::write_data(Lpn lpn, const std::vector<std::uint8_t>& bytes,
                                             Microseconds now,
                                             double buffer_utilization) {
   if (lpn >= mapping_.size()) return ErrorCode::kOutOfRange;
@@ -266,7 +268,9 @@ Result<Microseconds> FlexTlcFtl::write_data(Lpn lpn, std::vector<std::uint8_t> b
   data.lpn = lpn;
   data.signature = make_signature(lpn);
   data.version = write_version_;
-  data.bytes = std::move(bytes);
+  // The payload lives in the device's table under the write's signature
+  // (pinned until the pass program stores the page).
+  const nand::PayloadPin pin(device_.payloads(), data.signature, bytes);
   const std::uint32_t chip = pick_chip();
   ChipState& cs = chips_.at(chip);
 
@@ -304,19 +308,19 @@ Result<Microseconds> FlexTlcFtl::write_data(Lpn lpn, std::vector<std::uint8_t> b
   // parity flush or foreground GC it triggers.
   const Result<Microseconds> done = [&] {
     const nand::CauseScope cause(device_, nand::WriteCause::kHost);
-    return write_pass(chip, pass, lpn, std::move(data), now, /*gc=*/false);
+    return write_pass(chip, pass, lpn, data, now, /*gc=*/false);
   }();
   if (done.is_ok()) ++stats_.host_write_pages;
   return done;
 }
 
-Result<nand::PageData> FlexTlcFtl::read_data(Lpn lpn, Microseconds now) {
+Result<nand::PageImage> FlexTlcFtl::read_data(Lpn lpn, Microseconds now) {
   if (lpn >= mapping_.size()) return ErrorCode::kOutOfRange;
   if (!mapping_[lpn]) return ErrorCode::kNotFound;
   Result<nand::TlcDevice::ReadResult> got = device_.read(*mapping_[lpn], now);
   assert(got.is_ok());
   if (!got.value().data.is_ok()) return got.value().data.code();
-  return std::move(got.value().data).take();
+  return device_.payloads().image(got.value().data.value());
 }
 
 Result<Microseconds> FlexTlcFtl::program_gc_copy(std::uint32_t chip, Lpn lpn,
@@ -453,7 +457,7 @@ TlcRecoveryReport FlexTlcFtl::recover_from_power_loss(
                             std::unordered_map<std::uint32_t, nand::TlcPageAddress>&
                                 parity_map,
                             std::uint32_t pages_in_pass) {
-      nand::PageData recomputed = zeroed_parity();
+      nand::PageImage recomputed = zeroed_parity();
       std::optional<nand::TlcPagePos> lost;
       for (std::uint32_t wl = 0; wl < pages_in_pass; ++wl) {
         const nand::TlcPageAddress addr{chip, blk, {wl, pass}};
@@ -461,7 +465,8 @@ TlcRecoveryReport FlexTlcFtl::recover_from_power_loss(
         assert(got.is_ok());
         ++report.pages_read;
         if (got.value().data.is_ok()) {
-          recomputed.xor_with(got.value().data.value());
+          const nand::PageData& page = got.value().data.value();
+          recomputed.xor_with(page, device_.payloads().find(page.signature));
         } else {
           lost = addr.pos;
         }
@@ -481,15 +486,16 @@ TlcRecoveryReport FlexTlcFtl::recover_from_power_loss(
       assert(saved.is_ok());
       ++report.parity_pages_read;
       if (!saved.value().data.is_ok()) return;  // parity itself interrupted
-      nand::PageData recovered = std::move(saved.value().data).take();
+      nand::PageImage recovered = device_.payloads().image(saved.value().data.value());
       recovered.xor_with(recomputed);
-      recovered.spare = 0;
-      if (recovered.lpn >= mapping_.size() || !mapping_[recovered.lpn] ||
-          !(*mapping_[recovered.lpn] == lost_addr)) {
+      recovered.record.spare = 0;
+      const Lpn lpn = recovered.record.lpn;
+      if (lpn >= mapping_.size() || !mapping_[lpn] || !(*mapping_[lpn] == lost_addr)) {
         return;  // stale data; nothing to restore
       }
-      const Lpn lpn = recovered.lpn;
-      if (program_gc_copy(chip, lpn, std::move(recovered), now).is_ok()) {
+      const nand::PayloadPin payload(device_.payloads(), recovered.record.signature,
+                                     recovered.bytes);
+      if (program_gc_copy(chip, lpn, recovered.record, now).is_ok()) {
         ++report.pages_recovered;
       } else {
         --cs.valid[blk];
@@ -514,29 +520,33 @@ TlcRecoveryReport FlexTlcFtl::recover_from_power_loss(
 
     // Rebuild the in-RAM accumulators of the open passes.
     if (cs.fast) {
-      nand::PageData acc = zeroed_parity();
+      nand::PageImage acc = zeroed_parity();
       const nand::TlcBlock& block = device_.chip(chip).block(*cs.fast);
       for (std::uint32_t wl = 0;
            wl < block.programmed_in_pass(nand::TlcPageType::kLsb); ++wl) {
         const Result<nand::TlcDevice::ReadResult> got =
             device_.read({chip, *cs.fast, {wl, nand::TlcPageType::kLsb}}, now);
         ++report.pages_read;
-        if (got.value().data.is_ok()) acc.xor_with(got.value().data.value());
+        if (!got.value().data.is_ok()) continue;
+        const nand::PageData& page = got.value().data.value();
+        acc.xor_with(page, device_.payloads().find(page.signature));
       }
-      cs.lsb_acc = acc;
+      cs.lsb_acc = std::move(acc);
     }
     if (!cs.csb_queue.empty()) {
       const std::uint32_t head = cs.csb_queue.front();
-      nand::PageData acc = zeroed_parity();
+      nand::PageImage acc = zeroed_parity();
       const nand::TlcBlock& block = device_.chip(chip).block(head);
       for (std::uint32_t wl = 0;
            wl < block.programmed_in_pass(nand::TlcPageType::kCsb); ++wl) {
         const Result<nand::TlcDevice::ReadResult> got =
             device_.read({chip, head, {wl, nand::TlcPageType::kCsb}}, now);
         ++report.pages_read;
-        if (got.value().data.is_ok()) acc.xor_with(got.value().data.value());
+        if (!got.value().data.is_ok()) continue;
+        const nand::PageData& page = got.value().data.value();
+        acc.xor_with(page, device_.payloads().find(page.signature));
       }
-      cs.csb_acc[head] = acc;
+      cs.csb_acc[head] = std::move(acc);
     }
   }
   return report;
@@ -723,7 +733,7 @@ void FlexTlcFtl::load_state(ser::Reader& r) {
     }
     for (std::uint64_t i = 0; i < accs; ++i) {
       const std::uint32_t block = r.u32();
-      nand::PageData acc;
+      nand::PageImage acc;
       nand::load(r, acc);
       chip.csb_acc.emplace(block, std::move(acc));
     }

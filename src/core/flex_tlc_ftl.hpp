@@ -92,9 +92,9 @@ class FlexTlcFtl {
   /// One-page host write; `buffer_utilization` drives the pass choice as
   /// in the MLC policy manager (LSB under pressure while quota lasts).
   Result<Microseconds> write(Lpn lpn, Microseconds now, double buffer_utilization);
-  Result<Microseconds> write_data(Lpn lpn, std::vector<std::uint8_t> bytes,
+  Result<Microseconds> write_data(Lpn lpn, const std::vector<std::uint8_t>& bytes,
                                   Microseconds now, double buffer_utilization);
-  Result<nand::PageData> read_data(Lpn lpn, Microseconds now);
+  Result<nand::PageImage> read_data(Lpn lpn, Microseconds now);
 
   /// Idle window: background GC (quota-replenishing, consuming CSB/MSB
   /// capacity) while the free pool is below 10%.
@@ -137,8 +137,8 @@ class FlexTlcFtl {
     std::vector<std::uint32_t> valid;
     std::vector<std::uint32_t> written;
     /// Per-block parity accumulators for the in-progress passes.
-    nand::PageData lsb_acc;
-    std::unordered_map<std::uint32_t, nand::PageData> csb_acc;
+    nand::PageImage lsb_acc;
+    std::unordered_map<std::uint32_t, nand::PageImage> csb_acc;
     /// block -> saved parity page addresses (LSB-pass, CSB-pass).
     std::unordered_map<std::uint32_t, nand::TlcPageAddress> lsb_parity;
     std::unordered_map<std::uint32_t, nand::TlcPageAddress> csb_parity;
@@ -146,7 +146,7 @@ class FlexTlcFtl {
     std::vector<BackupBlock> retiring;
   };
 
-  static nand::PageData zeroed_parity();
+  static nand::PageImage zeroed_parity();
   std::uint64_t make_signature(Lpn lpn);
   std::uint32_t pick_chip();
 
@@ -157,7 +157,7 @@ class FlexTlcFtl {
   Result<Microseconds> write_pass(std::uint32_t chip, nand::TlcPageType pass, Lpn lpn,
                                   nand::PageData data, Microseconds now, bool gc);
   Microseconds flush_parity(std::uint32_t chip, std::uint32_t block,
-                            const nand::PageData& acc, bool csb_pass, Microseconds now);
+                            const nand::PageImage& acc, bool csb_pass, Microseconds now);
   void invalidate_parities(std::uint32_t chip, std::uint32_t block, Microseconds now);
   void drop_backup_reference(std::uint32_t chip, std::uint32_t backup_block,
                              Microseconds now);

@@ -93,7 +93,7 @@ RecoveryReport FlexFtl::recover_from_power_loss(
                        voided_retirements.end());
     for (const std::uint32_t blk : slow_blocks) {
       ++report.slow_blocks_checked;
-      nand::PageData recomputed = zeroed_parity();
+      nand::PageImage recomputed = zeroed_parity();
       std::optional<nand::PagePos> lost;
       for (std::uint32_t wl = 0; wl < wordlines; ++wl) {
         const nand::PageAddress addr{chip, blk, {wl, nand::PageType::kLsb}};
@@ -103,7 +103,8 @@ RecoveryReport FlexFtl::recover_from_power_loss(
         // ECC-uncorrectable data — never dereference an error Result (this
         // must hold in NDEBUG builds, where an assert would vanish).
         if (got.is_ok() && got.value().data.is_ok()) {
-          recomputed.xor_with(got.value().data.value());
+          const nand::PageData& page = got.value().data.value();
+          recomputed.xor_with(page, device_.payloads().find(page.signature));
         } else {
           // Skip the unreadable page; keep accumulating the rest (Fig. 7b).
           lost = nand::PagePos{wl, nand::PageType::kLsb};
@@ -120,14 +121,14 @@ RecoveryReport FlexFtl::recover_from_power_loss(
       // and the report.
       const auto parity_it = cs.parity_page.find(blk);
       bool parity_ok = false;
-      nand::PageData saved_parity;
+      nand::PageImage saved_parity;
       if (parity_it != cs.parity_page.end()) {
         Result<nand::NandDevice::ReadResult> saved =
             device_.read(parity_it->second, now);
         ++report.parity_pages_read;
         if (saved.is_ok() && saved.value().data.is_ok()) {
           parity_ok = true;
-          saved_parity = std::move(saved.value().data).take();
+          saved_parity = device_.payloads().image(saved.value().data.value());
         } else {
           // Unreadable parity page: the cut landed during the flush (or a
           // re-hooked page's backup block was recycled first). Drop the
@@ -166,19 +167,22 @@ RecoveryReport FlexFtl::recover_from_power_loss(
         continue;
       }
 
-      // lost page = saved parity XOR (XOR of all readable LSB pages).
-      nand::PageData recovered = std::move(saved_parity);
+      // lost page = saved parity XOR (XOR of all readable LSB pages), the
+      // payload bytes included.
+      nand::PageImage recovered = std::move(saved_parity);
       recovered.xor_with(recomputed);
-      recovered.spare = 0;  // the parity page's spare held the inverse map
+      recovered.record.spare = 0;  // the parity page's spare held the inverse map
 
-      if (!mapping_.maps_to(recovered.lpn, lost_addr)) {
+      if (!mapping_.maps_to(recovered.record.lpn, lost_addr)) {
         // The destroyed page held stale data; nothing to restore.
         continue;
       }
       // Rewrite the reconstructed page at a fresh location and remap.
-      const Lpn lpn = recovered.lpn;
+      const Lpn lpn = recovered.record.lpn;
+      const nand::PayloadPin payload(device_.payloads(), recovered.record.signature,
+                                     recovered.bytes);
       Result<Microseconds> rewritten =
-          allocate_gc_page(chip, lpn, std::move(recovered), now, /*background=*/false);
+          allocate_gc_page(chip, lpn, recovered.record, now, /*background=*/false);
       if (rewritten.is_ok()) {
         ++report.pages_recovered;
       } else {
@@ -204,7 +208,7 @@ RecoveryReport FlexFtl::recover_from_power_loss(
       if (!fast) continue;
       ++report.fast_blocks_checked;
       const nand::Block& block = device_.block({chip, *fast});
-      nand::PageData acc = zeroed_parity();
+      nand::PageImage acc = zeroed_parity();
       for (std::uint32_t wl = 0; wl < block.programmed_lsb_pages(); ++wl) {
         const nand::PageAddress addr{chip, *fast, {wl, nand::PageType::kLsb}};
         Result<nand::NandDevice::ReadResult> got = device_.read(addr, now);
@@ -213,10 +217,11 @@ RecoveryReport FlexFtl::recover_from_power_loss(
         // write was already discarded in step 1. A failed device read is
         // treated the same (no Result dereference under NDEBUG).
         if (got.is_ok() && got.value().data.is_ok()) {
-          acc.xor_with(got.value().data.value());
+          const nand::PageData& page = got.value().data.value();
+          acc.xor_with(page, device_.payloads().find(page.signature));
         }
       }
-      (cold ? cs.cold_acc : cs.parity_acc) = acc;
+      (cold ? cs.cold_acc : cs.parity_acc) = std::move(acc);
     }
   }
 

@@ -125,34 +125,22 @@ constexpr std::uint64_t kWarmStartMagic = 0x314d524157535052ull;  // "RPSWARM1"
 }  // namespace
 
 bool WarmStart::save_file(const std::string& path) const {
-  ser::Writer w;
-  w.u64(kWarmStartMagic);
-  w.u64(ftl.bytes().size());
-  w.bytes(ftl.bytes().data(), ftl.bytes().size());
-  w.u64(oracle.size());
-  w.bytes(oracle.data(), oracle.size());
-  w.u64(digest());
-  const std::vector<std::uint8_t> bytes = w.take();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  return std::fclose(f) == 0 && written == bytes.size();
+  const std::uint64_t trailer = digest();
+  const std::vector<std::uint8_t> bytes = ser::encode([&](ser::Writer& w) {
+    w.u64(kWarmStartMagic);
+    w.u64(ftl.bytes().size());
+    w.bytes(ftl.bytes().data(), ftl.bytes().size());
+    w.u64(oracle.size());
+    w.bytes(oracle.data(), oracle.size());
+    w.u64(trailer);
+  });
+  return ser::write_file(path, bytes);
 }
 
 std::optional<WarmStart> WarmStart::load_file(const std::string& path) {
-  // Reuse the snapshot file reader for the raw bytes; validation is ours.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) return std::nullopt;
-  ser::Reader r(bytes);
+  const std::optional<std::vector<std::uint8_t>> bytes = ser::read_file(path);
+  if (!bytes) return std::nullopt;
+  ser::Reader r(*bytes);
   if (r.u64() != kWarmStartMagic) return std::nullopt;
   WarmStart warm;
   const std::uint64_t snap_size = r.u64();
@@ -202,9 +190,7 @@ WarmStart make_warm_start(const FaultSimConfig& config) {
   oracle.detach();
   WarmStart warm;
   warm.ftl = sim::Snapshot::capture(*ftl);
-  ser::Writer w;
-  oracle.save(w);
-  warm.oracle = w.take();
+  warm.oracle = ser::encode([&oracle](ser::Writer& w) { oracle.save(w); });
   return warm;
 }
 
@@ -383,10 +369,10 @@ TrialResult run_trial(const FaultSimConfig& config, obs::TraceSink* sink,
     const auto tenant_count = static_cast<std::uint32_t>(
         std::min<Lpn>(config.tenants, working_set));
     for (Lpn lpn = 0; lpn < working_set; ++lpn) {
-      const Result<nand::PageData> data = ftl->read_data(lpn, check_at);
+      const Result<nand::PageImage> data = ftl->read_data(lpn, check_at);
       if (!data.is_ok()) continue;  // destroyed data: the oracle's department
-      if ((data.value().spare & nand::kNonHostSpareFlag) != 0) continue;
-      const std::uint32_t tag = nand::stream_of_spare(data.value().spare);
+      if ((data.value().record.spare & nand::kNonHostSpareFlag) != 0) continue;
+      const std::uint32_t tag = nand::stream_of_spare(data.value().record.spare);
       if (tag == 0) continue;
       const std::uint32_t owner =
           host::tenant_of_lpn(lpn, tenant_count, working_set);

@@ -89,9 +89,9 @@ OracleCheck ShadowOracle::check(ftl::FtlBase& ftl, Microseconds crash_time,
       continue;
     }
     ++result.acked_lpns_checked;
-    const Result<nand::PageData> data = ftl.read_data(lpn, now);
-    const bool ok = data.is_ok() && data.value().version == newest.version &&
-                    data.value().signature == newest.signature;
+    const Result<nand::PageImage> data = ftl.read_data(lpn, now);
+    const bool ok = data.is_ok() && data.value().record.version == newest.version &&
+                    data.value().record.signature == newest.signature;
     if (ok) continue;
     if (std::getenv("FAULTSIM_DEBUG") != nullptr) {
       std::fprintf(stderr, "[oracle] lpn=%llu expected v%llu sig=%llx; read %s",
@@ -100,8 +100,8 @@ OracleCheck ShadowOracle::check(ftl::FtlBase& ftl, Microseconds crash_time,
                    data.is_ok() ? "ok" : "FAILED");
       if (data.is_ok()) {
         std::fprintf(stderr, " v%llu sig=%llx",
-                     (unsigned long long)data.value().version,
-                     (unsigned long long)data.value().signature);
+                     (unsigned long long)data.value().record.version,
+                     (unsigned long long)data.value().record.signature);
       }
       std::fprintf(stderr, "; history:");
       for (const WriteRecord& r : records) {

@@ -176,24 +176,35 @@ void BlockManager::load(ser::Reader& r) {
       r.fail();
       return;
     }
+    // Counts above a block's page count and free-list entries past the
+    // chip's block count would index out of bounds in the next
+    // allocation or GC pass: reject them.
     for (BlockInfo& bi : chip.blocks) {
       const std::uint8_t raw = r.u8();
-      if (raw > static_cast<std::uint8_t>(BlockUse::kRetired)) {
+      bi.valid_pages = r.u32();
+      bi.written_pages = r.u32();
+      if (raw > static_cast<std::uint8_t>(BlockUse::kRetired) ||
+          bi.valid_pages > pages_per_block_ || bi.written_pages > pages_per_block_) {
         r.fail();
         return;
       }
       bi.use = static_cast<BlockUse>(raw);
-      bi.valid_pages = r.u32();
-      bi.written_pages = r.u32();
       bi.gc_cursor = 0;  // conservative: restored blocks rescan from 0
     }
     chip.free.clear();
     const std::uint64_t free = r.u64();
-    if (free > r.remaining()) {
+    if (free > blocks_per_chip_ || free > r.remaining()) {
       r.fail();
       return;
     }
-    for (std::uint64_t i = 0; i < free; ++i) chip.free.push_back(r.u32());
+    for (std::uint64_t i = 0; i < free; ++i) {
+      const std::uint32_t block = r.u32();
+      if (block >= blocks_per_chip_) {
+        r.fail();
+        return;
+      }
+      chip.free.push_back(block);
+    }
     chip.valid_pages = r.u64();
     chip.gain_dirty = true;
   }

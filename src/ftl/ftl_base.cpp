@@ -66,14 +66,18 @@ std::uint64_t FtlBase::make_signature(Lpn lpn) {
 }
 
 Result<HostOp> FtlBase::host_program(std::uint32_t chip, Lpn lpn,
-                                     std::vector<std::uint8_t> bytes, Microseconds now,
-                                     double buffer_utilization, std::uint32_t stream) {
+                                     std::span<const std::uint8_t> payload,
+                                     Microseconds now, double buffer_utilization,
+                                     std::uint32_t stream) {
   nand::PageData data;
   data.lpn = lpn;
   data.signature = make_signature(lpn);
   data.version = write_version_;
   data.spare = stream & nand::kStreamSpareMask;
-  data.bytes = std::move(bytes);
+  // A payload rides in the device's table under the write's signature:
+  // the pin keeps it until the policy has programmed the page, and every
+  // copy of the page (GC, backup, parity) finds it by the same signature.
+  const nand::PayloadPin pin(device_.payloads(), data.signature, payload);
   current_stream_ = stream;
   // Attribution: everything the policy does to place this page — the
   // program itself plus any synchronous backup the policy wraps around
@@ -81,7 +85,7 @@ Result<HostOp> FtlBase::host_program(std::uint32_t chip, Lpn lpn,
   // re-tags its own ops.
   const Result<Microseconds> done = [&] {
     const nand::CauseScope scope(device_, nand::WriteCause::kHost);
-    return allocate_host_page(chip, lpn, std::move(data), now, buffer_utilization);
+    return allocate_host_page(chip, lpn, data, now, buffer_utilization);
   }();
   current_stream_ = 0;
   if (!done.is_ok()) return done.code();
@@ -102,11 +106,10 @@ Result<HostOp> FtlBase::write_on(std::uint32_t chip, Lpn lpn, Microseconds now,
   return host_program(chip, lpn, {}, now, buffer_utilization, stream);
 }
 
-Result<HostOp> FtlBase::write_data(Lpn lpn, std::vector<std::uint8_t> bytes,
+Result<HostOp> FtlBase::write_data(Lpn lpn, const std::vector<std::uint8_t>& bytes,
                                    Microseconds now, double buffer_utilization) {
   if (lpn >= mapping_.exported_pages()) return ErrorCode::kOutOfRange;
-  return host_program(pick_chip(), lpn, std::move(bytes), now, buffer_utilization,
-                      /*stream=*/0);
+  return host_program(pick_chip(), lpn, bytes, now, buffer_utilization, /*stream=*/0);
 }
 
 Result<HostOp> FtlBase::read(Lpn lpn, Microseconds now) {
@@ -127,8 +130,8 @@ Result<HostOp> FtlBase::read(Lpn lpn, Microseconds now) {
   return HostOp{got.value().timing.complete};
 }
 
-Result<nand::PageData> FtlBase::read_data(Lpn lpn, Microseconds now,
-                                          Microseconds* complete) {
+Result<nand::PageImage> FtlBase::read_data(Lpn lpn, Microseconds now,
+                                           Microseconds* complete) {
   if (complete != nullptr) *complete = now;
   if (lpn >= mapping_.exported_pages()) return ErrorCode::kOutOfRange;
   const Result<nand::PageAddress> addr = mapping_.lookup(lpn);
@@ -143,7 +146,7 @@ Result<nand::PageData> FtlBase::read_data(Lpn lpn, Microseconds now,
     ++stats_.read_errors;
     return got.value().data.code();
   }
-  return std::move(got.value().data).take();
+  return device_.payloads().image(got.value().data.value());
 }
 
 void FtlBase::commit_mapping(Lpn lpn, const nand::PageAddress& addr) {
@@ -546,7 +549,8 @@ void FtlBase::save_state(ser::Writer& w) const {
 
 void FtlBase::load_state(ser::Reader& r) {
   device_.load(r);
-  mapping_.load(r);
+  mapping_.load(r, device_.num_units(), device_.visible_blocks(),
+                device_.geometry().wordlines_per_block);
   blocks_.load(r);
 #define RPS_FIELD(name) stats_.name = r.u64();
   RPS_FTL_STAT_FIELDS(RPS_FIELD)

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string_view>
 
 #include "src/controller/allocator.hpp"
@@ -84,8 +85,9 @@ class FtlBase : public ctrl::Allocator {
                           double buffer_utilization = 0.0, std::uint32_t stream = 0);
 
   /// Service a host write carrying a real payload (recovery tests and the
-  /// examples verify data contents end to end).
-  Result<HostOp> write_data(Lpn lpn, std::vector<std::uint8_t> bytes, Microseconds now,
+  /// examples verify data contents end to end). The bytes are stored in
+  /// the device's payload table, not in the page record.
+  Result<HostOp> write_data(Lpn lpn, const std::vector<std::uint8_t>& bytes, Microseconds now,
                             double buffer_utilization = 0.0);
 
   /// Service a one-page host read arriving at `now`. Reads of never-written
@@ -93,11 +95,11 @@ class FtlBase : public ctrl::Allocator {
   /// the stored data was destroyed (power loss without recovery).
   Result<HostOp> read(Lpn lpn, Microseconds now);
 
-  /// Read back a stored payload (verification helper, charges device time).
-  /// When `complete` is non-null it receives the delivery time (`now` for
-  /// zero-fill reads of unwritten pages).
-  Result<nand::PageData> read_data(Lpn lpn, Microseconds now,
-                                   Microseconds* complete = nullptr);
+  /// Read back a stored page with its payload (verification helper,
+  /// charges device time). When `complete` is non-null it receives the
+  /// delivery time (`now` for zero-fill reads of unwritten pages).
+  Result<nand::PageImage> read_data(Lpn lpn, Microseconds now,
+                                    Microseconds* complete = nullptr);
 
   /// Offer the FTL an idle window [now, deadline). Forwards to the
   /// policy's on_idle_plan (the Allocator hook).
@@ -257,7 +259,7 @@ class FtlBase : public ctrl::Allocator {
   /// tag in the spare word), consults the allocation policy, and runs the
   /// per-write accounting.
   Result<HostOp> host_program(std::uint32_t chip, Lpn lpn,
-                              std::vector<std::uint8_t> bytes, Microseconds now,
+                              std::span<const std::uint8_t> payload, Microseconds now,
                               double buffer_utilization, std::uint32_t stream);
 
   /// Capacity-aware round robin over chips; `eligible` nullptr = all.

@@ -65,9 +65,12 @@ class MappingTable {
 
   [[nodiscard]] Lpn mapped_count() const { return mapped_count_; }
 
-  /// Snapshot support.
+  /// Snapshot support: the entries in one pass. load() rejects addresses
+  /// outside `units` x `blocks` x `wordlines` (GC and recovery index device
+  /// arrays with them) and unknown page types.
   void save(ser::Writer& w) const;
-  void load(ser::Reader& r);
+  void load(ser::Reader& r, std::uint32_t units, std::uint32_t blocks,
+            std::uint32_t wordlines);
 
  private:
   struct Entry {

@@ -34,7 +34,7 @@ Microseconds ParityFtl::flush_parity(Microseconds now) {
       // No space anywhere for a backup: drop coverage (counted, not silent).
       ++skipped_backups_;
       pending_.clear();
-      parity_acc_ = nand::PageData{};
+      parity_acc_ = nand::PageImage{};
       return now;
     }
     const Status slc = device_.block_mut({chip, block.value()}).set_slc_mode();
@@ -45,13 +45,11 @@ Microseconds ParityFtl::flush_parity(Microseconds now) {
 
   const nand::PagePos pos{cursor->next, nand::PageType::kLsb};
   const nand::PageAddress addr{chip, cursor->block, pos};
-  // The accumulator is reset after the flush anyway, so its payload moves
-  // to the device instead of being copied (the reset below reuses the
-  // moved-from shell).
-  nand::PageData parity = std::move(parity_acc_);
+  nand::PageData parity = parity_acc_.record;
   parity.lpn = kInvalidLpn;  // not user data; never a GC relocation source
   parity.spare |= nand::kNonHostSpareFlag;
-  Result<nand::OpTiming> timing = device_.program(addr, std::move(parity), now);
+  const nand::PayloadPin payload(device_.payloads(), parity.signature, parity_acc_.bytes);
+  Result<nand::OpTiming> timing = device_.program(addr, parity, now);
   assert(timing.is_ok());
   ++cursor->next;
   blocks_.add_written({chip, cursor->block});
@@ -63,7 +61,7 @@ Microseconds ParityFtl::flush_parity(Microseconds now) {
                           durable);
   }
   pending_.clear();
-  parity_acc_ = nand::PageData{};
+  parity_acc_ = nand::PageImage{};
 
   if (cursor->next >= device_.geometry().wordlines_per_block) {
     // Backup blocks cycle: once the SLC pages are used up, the parity pages
@@ -85,7 +83,7 @@ Microseconds ParityFtl::before_program(const nand::PageAddress& addr,
     // GC relocation copies need no coverage: their source pages survive
     // until the relocation completes, so an interrupted pass is redone.
     if (gc) return now;
-    parity_acc_.xor_with(data);
+    parity_acc_.xor_with(data, device_.payloads().find(data.signature));
     pending_.push_back(addr);
     if (pending_.size() >= kLsbPagesPerParity) {
       // The flush runs on another chip's timeline; this LSB program does

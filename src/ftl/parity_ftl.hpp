@@ -62,7 +62,7 @@ class ParityFtl : public PageFtl {
     std::uint32_t next = 0;  // next LSB word line
   };
 
-  nand::PageData parity_acc_;
+  nand::PageImage parity_acc_;
   std::vector<nand::PageAddress> pending_;  // LSB pages in the accumulator
   /// Word lines whose LSB data is covered by a durable parity page, with
   /// the flush completion time (MSB programs wait on it, then consume it).

@@ -17,7 +17,7 @@ std::vector<std::uint8_t> BlockDevice::page_bytes(Lpn lpn, Microseconds now,
                                                   Microseconds* complete) {
   const std::uint32_t size = ftl_.config().geometry.page_size_bytes;
   Microseconds read_done = now;
-  Result<nand::PageData> data = ftl_.read_data(lpn, now, &read_done);
+  Result<nand::PageImage> data = ftl_.read_data(lpn, now, &read_done);
   *complete = std::max(*complete, read_done);
   if (!data.is_ok()) {
     return std::vector<std::uint8_t>(size, 0);  // zero-fill
@@ -66,7 +66,7 @@ Result<Microseconds> BlockDevice::write(std::uint64_t sector,
                                      config_.sector_bytes);
     }
     const Result<ftl::HostOp> op =
-        ftl_.write_data(lpn, std::move(page), now, buffer_utilization);
+        ftl_.write_data(lpn, page, now, buffer_utilization);
     if (!op.is_ok()) return op.code();
     complete = std::max(complete, op.value().complete);
     cursor += span;

@@ -6,22 +6,15 @@
 
 namespace rps::nand {
 
-void PageData::xor_with(const PageData& other) {
-  signature ^= other.signature;
-  spare ^= other.spare;
-  lpn ^= other.lpn;
-  version ^= other.version;
-  if (bytes.size() < other.bytes.size()) bytes.resize(other.bytes.size(), 0);
-  for (std::size_t i = 0; i < other.bytes.size(); ++i) bytes[i] ^= other.bytes[i];
-}
-
-Block::Block(std::uint32_t wordlines, SequenceKind kind)
-    : kind_(kind), program_state_(wordlines), slots_(wordlines * 2) {}
+Block::Block(std::uint32_t wordlines, SequenceKind kind, PayloadTable* payloads)
+    : kind_(kind), program_state_(wordlines), slots_(wordlines * 2), payloads_(payloads) {}
 
 void Block::erase() {
-  for (PageSlot& s : slots_) s = PageSlot{};
+  if (payloads_ != nullptr) payloads_->release_valid(slots_);
+  std::fill(slots_.begin(), slots_.end(), PageSlot{});
   program_state_.reset();
   programmed_pages_ = 0;
+  corrupted_pages_ = 0;
   programmed_lsb_ = 0;
   reads_since_erase_ = 0;
   slc_mode_ = false;
@@ -37,33 +30,10 @@ Status Block::set_slc_mode() {
 void Block::corrupt(PagePos pos) {
   PageSlot& s = slot(pos);
   if (s.state == PageState::kValid) {
-    s.state = PageState::kCorrupted;
-    s.data = PageData{};
+    if (payloads_ != nullptr) payloads_->release(s.record.signature);
+    s = PageSlot{PageData{}, PageState::kCorrupted};
+    ++corrupted_pages_;
   }
-}
-
-void save(ser::Writer& w, const PageData& d) {
-  w.u64(d.lpn);
-  w.u64(d.signature);
-  w.u64(d.spare);
-  w.u64(d.version);
-  w.u64(d.bytes.size());
-  w.bytes(d.bytes.data(), d.bytes.size());
-}
-
-void load(ser::Reader& r, PageData& d) {
-  d.lpn = r.u64();
-  d.signature = r.u64();
-  d.spare = r.u64();
-  d.version = r.u64();
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining()) {
-    r.fail();
-    d.bytes.clear();
-    return;
-  }
-  d.bytes.resize(static_cast<std::size_t>(n));
-  r.bytes(d.bytes.data(), d.bytes.size());
 }
 
 void Block::save(ser::Writer& w) const {
@@ -72,12 +42,7 @@ void Block::save(ser::Writer& w) const {
   w.u64(reads_since_erase_);
   w.boolean(slc_mode_);
   w.u64(slots_.size());
-  for (const PageSlot& s : slots_) {
-    w.u8(static_cast<std::uint8_t>(s.state));
-    // Erased and corrupted slots hold a default PageData by construction
-    // (erase()/corrupt() clear the record), so only valid pages carry one.
-    if (s.state == PageState::kValid) nand::save(w, s.data);
-  }
+  save_pages(w, slots_, programmed_pages_ - corrupted_pages_, payloads_);
 }
 
 void Block::load(ser::Reader& r) {
@@ -92,28 +57,27 @@ void Block::load(ser::Reader& r) {
     r.fail();
     return;
   }
+  load_pages(r, slots_, payloads_);
+  // Word-line program state and the programmed counters are derived from
+  // the slot states: a non-erased slot is programmed for ordering
+  // purposes, corrupted or not.
   program_state_.reset();
   programmed_pages_ = 0;
+  corrupted_pages_ = 0;
   programmed_lsb_ = 0;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    const std::uint8_t raw = r.u8();
-    if (raw > static_cast<std::uint8_t>(PageState::kCorrupted)) {
+    if (slots_[i].state == PageState::kErased) continue;
+    const PagePos pos = PagePos::from_flat(i);
+    if (pos.type == PageType::kMsb && slots_[i - 1].state == PageState::kErased) {
+      // An MSB page over an erased LSB page: not a state a device can
+      // reach, and mark_programmed asserts on it.
       r.fail();
       return;
     }
-    PageSlot& s = slots_[i];
-    s.state = static_cast<PageState>(raw);
-    s.data = PageData{};
-    if (s.state == PageState::kValid) nand::load(r, s.data);
-    // Word-line program state and the programmed counters are derived from
-    // the slot states: a non-erased slot is programmed for ordering
-    // purposes, corrupted or not.
-    if (s.state != PageState::kErased) {
-      const PagePos pos = PagePos::from_flat(i);
-      program_state_.mark_programmed(pos);
-      ++programmed_pages_;
-      if (pos.type == PageType::kLsb) ++programmed_lsb_;
-    }
+    program_state_.mark_programmed(pos);
+    ++programmed_pages_;
+    if (slots_[i].state == PageState::kCorrupted) ++corrupted_pages_;
+    if (pos.type == PageType::kLsb) ++programmed_lsb_;
   }
 }
 

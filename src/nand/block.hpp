@@ -2,18 +2,19 @@
 //
 // The block enforces the active program-sequence policy on every program;
 // an FTL physically cannot violate the device's constraint set. Page
-// contents are stored as a compact record (logical page number + a 64-bit
-// payload signature + optional raw bytes) so large simulations stay small
-// in memory while recovery tests can still verify real data.
+// contents are stored as fixed 32-byte records (page.hpp) in 40-byte
+// page slots, so large simulations stay small in memory; optional payload
+// bytes live in the owning device's PayloadTable, which the block keeps
+// referenced as pages come and go.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "src/nand/address.hpp"
+#include "src/nand/page.hpp"
 #include "src/nand/program_order.hpp"
 #include "src/util/result.hpp"
 #include "src/util/types.hpp"
@@ -25,56 +26,11 @@ class Reader;
 
 namespace rps::nand {
 
-/// Spare-area flag marking a page as FTL metadata (parity or paired-page
-/// backup), not host data. Mapping reconstruction after a reboot skips
-/// flagged pages; host pages never set it.
-inline constexpr std::uint64_t kNonHostSpareFlag = 1ull << 63;
-
-/// Low spare bits of a *host* page carry its write-stream tag (the
-/// FDP-style placement hint the multi-queue frontend assigns per tenant).
-/// Tag 0 is the default stream; GC copies inherit the tag with the rest
-/// of the page, so stream ownership survives relocation. Metadata pages
-/// (kNonHostSpareFlag) reuse these bits for their own purposes.
-inline constexpr std::uint64_t kStreamSpareMask = 0xffffull;
-
-/// The stream tag stored in a host page's spare word.
-[[nodiscard]] inline constexpr std::uint32_t stream_of_spare(std::uint64_t spare) {
-  return static_cast<std::uint32_t>(spare & kStreamSpareMask);
-}
-
-/// What a program operation stores into a page.
-///
-/// `spare` models the out-of-band area; FTLs use it for the reverse map
-/// (LPN) and flexFTL's parity backup stores the fast-block number there.
-/// `version` is the host-write sequence number, the tie-breaker mapping
-/// reconstruction uses when several physical copies of an LPN exist.
-struct PageData {
-  Lpn lpn = kInvalidLpn;
-  std::uint64_t signature = 0;          // stands in for the 4 KB payload
-  std::uint64_t spare = 0;              // OOB metadata word
-  std::uint64_t version = 0;            // host-write sequence number
-  std::vector<std::uint8_t> bytes;      // optional raw payload (tests/examples)
-
-  /// XOR combine, the primitive behind every parity-backup scheme here.
-  void xor_with(const PageData& other);
-
-  friend bool operator==(const PageData&, const PageData&) = default;
-};
-
-/// Canonical byte encoding of a stored page record (snapshots).
-void save(ser::Writer& w, const PageData& d);
-void load(ser::Reader& r, PageData& d);
-
-/// Lifecycle state of a stored page.
-enum class PageState : std::uint8_t {
-  kErased = 0,
-  kValid,         // programmed, data intact
-  kCorrupted,     // programmed but destroyed (power loss) — ECC-uncorrectable
-};
-
 class Block {
  public:
-  Block(std::uint32_t wordlines, SequenceKind kind);
+  /// `payloads` is the owning device's payload table (null for a
+  /// standalone block, which then carries no payload bytes).
+  Block(std::uint32_t wordlines, SequenceKind kind, PayloadTable* payloads = nullptr);
 
   [[nodiscard]] std::uint32_t wordlines() const { return program_state_.wordlines(); }
   [[nodiscard]] std::uint32_t num_pages() const { return wordlines() * 2; }
@@ -91,19 +47,19 @@ class Block {
   }
 
   /// Program a page; fails (and changes nothing) if the order is illegal.
-  Status program(PagePos pos, PageData data) {
+  Status program(PagePos pos, const PageData& data) {
     const Status legal = can_program(pos);
     if (!legal.is_ok()) return legal;
-    store_programmed(pos, std::move(data));
+    store_programmed(pos, data);
     return Status::ok();
   }
 
   /// Program a page whose legality the caller has already established via
   /// can_program() on this exact block state (the device's resolve step).
   /// Skips the redundant re-validation; asserts the physical invariant.
-  void program_prechecked(PagePos pos, PageData data) {
+  void program_prechecked(PagePos pos, const PageData& data) {
     assert(!program_state_.is_programmed(pos));
-    store_programmed(pos, std::move(data));
+    store_programmed(pos, data);
   }
 
   /// Read a page: kNotProgrammed for erased pages, kEccUncorrectable for
@@ -115,7 +71,7 @@ class Block {
     switch (s.state) {
       case PageState::kErased: return ErrorCode::kNotProgrammed;
       case PageState::kCorrupted: return ErrorCode::kEccUncorrectable;
-      case PageState::kValid: return s.data;
+      case PageState::kValid: return s.record;
     }
     return ErrorCode::kInvalidArgument;
   }
@@ -125,12 +81,12 @@ class Block {
   /// — it models the same sensing pass, so scrub thresholds see it — and
   /// the pointer is invalidated by the next program/erase/corrupt of this
   /// block. For hot paths (GC validity tests, mapping rebuild, oracle
-  /// audits) that only inspect the record; read() copies the payload.
+  /// audits) that only inspect the record.
   [[nodiscard]] const PageData* peek(PagePos pos) const {
     if (pos.wordline >= wordlines()) return nullptr;
     ++reads_since_erase_;
     const PageSlot& s = slot(pos);
-    return s.state == PageState::kValid ? &s.data : nullptr;
+    return s.state == PageState::kValid ? &s.record : nullptr;
   }
 
   /// Raw page state (for FTL bookkeeping and tests).
@@ -183,35 +139,32 @@ class Block {
   [[nodiscard]] std::optional<PagePos> next_msb() const;
 
   /// Snapshot support: serialize / restore the full mutable state (page
-  /// slots, program state, wear, read-disturb exposure, SLC mode). The
-  /// target block must have the same shape (wordlines, sequence kind).
+  /// slots, program state, wear, read-disturb exposure, SLC mode) — the
+  /// page slots in one pass (save_pages / load_pages). The target block
+  /// must have the same shape (wordlines, sequence kind).
   void save(ser::Writer& w) const;
   void load(ser::Reader& r);
 
  private:
-  struct PageSlot {
-    PageState state = PageState::kErased;
-    PageData data;
-  };
-
   [[nodiscard]] const PageSlot& slot(PagePos pos) const { return slots_[pos.flat_index()]; }
   [[nodiscard]] PageSlot& slot(PagePos pos) { return slots_[pos.flat_index()]; }
 
-  void store_programmed(PagePos pos, PageData&& data) {
+  void store_programmed(PagePos pos, const PageData& data) {
     program_state_.mark_programmed(pos);
-    PageSlot& s = slot(pos);
-    s.state = PageState::kValid;
-    s.data = std::move(data);
+    slot(pos) = PageSlot{data, PageState::kValid};
+    if (payloads_ != nullptr) payloads_->retain_existing(data.signature);
     ++programmed_pages_;
     if (pos.type == PageType::kLsb) ++programmed_lsb_;
   }
 
   SequenceKind kind_;
   BlockProgramState program_state_;
-  std::vector<PageSlot> slots_;
+  std::vector<PageSlot> slots_;  // per page, flat-indexed
+  PayloadTable* payloads_;       // borrowed from the device; may be null
   std::uint64_t erase_count_ = 0;
   mutable std::uint64_t reads_since_erase_ = 0;
-  std::uint32_t programmed_pages_ = 0;
+  std::uint32_t programmed_pages_ = 0;   // valid + corrupted
+  std::uint32_t corrupted_pages_ = 0;
   std::uint32_t programmed_lsb_ = 0;
   bool slc_mode_ = false;
 };

@@ -7,10 +7,10 @@
 namespace rps::nand {
 
 Chip::Chip(std::uint32_t blocks, std::uint32_t wordlines, SequenceKind kind,
-           const TimingSpec& timing)
+           const TimingSpec& timing, PayloadTable* payloads)
     : timing_(timing) {
   blocks_.reserve(blocks);
-  for (std::uint32_t b = 0; b < blocks; ++b) blocks_.emplace_back(wordlines, kind);
+  for (std::uint32_t b = 0; b < blocks; ++b) blocks_.emplace_back(wordlines, kind, payloads);
   wear_.resize(blocks);  // preallocated up front: the ledger never grows
 }
 
@@ -54,7 +54,7 @@ Result<OpTiming> Chip::program(std::uint32_t b, PagePos pos, PageData data, Micr
   // Validate before touching the timeline so a rejected program is free.
   const Status legal = blocks_[b].can_program(pos);
   if (!legal.is_ok()) return legal.code();
-  return commit_program(b, pos, std::move(data), now);
+  return commit_program(b, pos, data, now);
 }
 
 Result<OpTiming> Chip::erase(std::uint32_t b, Microseconds now) {
@@ -185,15 +185,24 @@ void Chip::load(ser::Reader& r) {
   counters_.lsb_programs = r.u64();
   counters_.msb_programs = r.u64();
   counters_.erases = r.u64();
+  // Block indices and enum bytes index arrays later (power loss, lazy
+  // erase settling, attribution): reject out-of-range values here even
+  // when the stream's checksum holds.
   last_program_.reset();
   if (r.boolean()) {
     InFlightProgram p;
     p.block = r.u32();
     p.pos.wordline = r.u32();
-    p.pos.type = static_cast<PageType>(r.u8());
+    const std::uint8_t type = r.u8();
     p.start = r.i64();
     p.complete = r.i64();
     p.suspends = r.u32();
+    if (p.block >= blocks_.size() || p.pos.wordline >= blocks_[p.block].wordlines() ||
+        type > static_cast<std::uint8_t>(PageType::kMsb)) {
+      r.fail();
+      return;
+    }
+    p.pos.type = static_cast<PageType>(type);
     last_program_ = p;
   }
   pending_erases_.clear();
@@ -207,8 +216,13 @@ void Chip::load(ser::Reader& r) {
     PendingErase pe;
     pe.block = r.u32();
     pe.start = r.i64();
-    pe.cause = static_cast<WriteCause>(r.u8());
+    const std::uint8_t cause = r.u8();
     pe.prev_last_erase = r.i64();
+    if (pe.block >= blocks_.size() || cause >= kNumWriteCauses) {
+      r.fail();
+      return;
+    }
+    pe.cause = static_cast<WriteCause>(cause);
     pending_erases_.push_back(pe);
   }
   program_suspend_ = r.boolean();

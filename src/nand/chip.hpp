@@ -54,8 +54,10 @@ struct OpTiming {
 
 class Chip {
  public:
+  /// `payloads` is the owning device's payload table, shared by every
+  /// block (null for a standalone chip: no payload bytes).
   Chip(std::uint32_t blocks, std::uint32_t wordlines, SequenceKind kind,
-       const TimingSpec& timing);
+       const TimingSpec& timing, PayloadTable* payloads = nullptr);
 
   /// Enable program suspension: a read arriving while a program occupies
   /// the chip preempts it (up to max_suspends_per_program times), paying
@@ -91,7 +93,7 @@ class Chip {
     // here cannot change this block's legality.
     settle_erases(now);
     materialize_erase(b);
-    return commit_program(b, pos, std::move(data), now);
+    return commit_program(b, pos, data, now);
   }
 
   /// Read a page. Timing advances even for ECC-uncorrectable reads (the
@@ -205,14 +207,14 @@ class Chip {
 
   /// Timeline charge + page store + counters, shared by program() and
   /// program_resolved() once legality is established.
-  OpTiming commit_program(std::uint32_t b, PagePos pos, PageData&& data,
+  OpTiming commit_program(std::uint32_t b, PagePos pos, const PageData& data,
                           Microseconds now) {
     const Microseconds latency = pos.type == PageType::kLsb
                                      ? timing_.program_lsb_us
                                      : timing_.program_msb_us;
     const Microseconds start = occupy(now, latency);
     const std::uint64_t spare = data.spare;
-    blocks_[b].program_prechecked(pos, std::move(data));
+    blocks_[b].program_prechecked(pos, data);
     if (pos.type == PageType::kLsb) {
       ++counters_.lsb_programs;
     } else {

@@ -21,7 +21,7 @@ NandDevice::NandDevice(const Geometry& geometry, const TimingSpec& timing,
   for (std::uint32_t u = 0; u < geometry.num_units(); ++u) {
     chips_.push_back(std::make_unique<Chip>(geometry.blocks_per_chip,
                                             geometry.wordlines_per_block, kind,
-                                            timing));
+                                            timing, &payloads_));
     chips_.back()->attach_attribution(&attribution_);
   }
 }
@@ -124,7 +124,7 @@ Result<OpTiming> NandDevice::multi_plane_program(
   Microseconds complete = cell_start;
   for (std::size_t i = 0; i < group.size(); ++i) {
     const OpTiming cell = chips_[group[i].chip]->program_resolved(
-        physical[i], group[i].pos, std::move(data[i]), cell_start);
+        physical[i], group[i].pos, data[i], cell_start);
     complete = std::max(complete, cell.complete);
   }
   return OpTiming{first_bus, complete};

@@ -69,6 +69,10 @@ class NandDevice {
  public:
   NandDevice(const Geometry& geometry, const TimingSpec& timing, SequenceKind kind,
              const BadBlockConfig& bad_blocks = {});
+  // Chips and blocks hold pointers into the device (attribution state,
+  // payload table), so it is never copied or moved.
+  NandDevice(const NandDevice&) = delete;
+  NandDevice& operator=(const NandDevice&) = delete;
 
   [[nodiscard]] const Geometry& geometry() const { return geometry_; }
   [[nodiscard]] const TimingSpec& timing() const { return timing_; }
@@ -135,8 +139,8 @@ class NandDevice {
     const Microseconds bus_start = occupy_channel(channel, ready);
     const Microseconds bus_end = bus_start + timing_.transfer_us;
     // resolve_program() just validated legality against this block state.
-    const OpTiming cell = chips_[addr.chip]->program_resolved(
-        physical.value(), addr.pos, std::move(data), bus_end);
+    const OpTiming cell =
+        chips_[addr.chip]->program_resolved(physical.value(), addr.pos, data, bus_end);
     return OpTiming{bus_start, cell.complete};
   }
 
@@ -155,9 +159,14 @@ class NandDevice {
         occupy_channel(channel, sensed.value().timing.complete);
     ReadResult result;
     result.timing = OpTiming{sensed.value().timing.start, bus_start + timing_.transfer_us};
-    result.data = std::move(sensed.value().data);
+    result.data = sensed.value().data;
     return result;
   }
+
+  /// Optional payload bytes of the stored pages, keyed by write signature
+  /// (page.hpp). Empty unless some write carried a payload.
+  [[nodiscard]] const PayloadTable& payloads() const { return payloads_; }
+  [[nodiscard]] PayloadTable& payloads() { return payloads_; }
 
   /// Erase. A block at its endurance limit fails: it is remapped to a
   /// spare (and the erase retried there) while the pool lasts, else the
@@ -223,8 +232,9 @@ class NandDevice {
   /// The earliest time every chip and channel is free.
   [[nodiscard]] Microseconds all_idle_at() const;
 
-  /// Snapshot support: chips, channel timelines, bad-block table, power
-  /// loss count. Geometry/timing/kind are construction-time config — the
+  /// Snapshot support: chips (page payloads travel with their page slots),
+  /// channel timelines, bad-block table, power loss count.
+  /// Geometry/timing/kind are construction-time config — the
   /// restore target must be built from the same config (validated upstream
   /// by the snapshot header). The bad-block listener is borrowed and not
   /// serialized.
@@ -293,6 +303,7 @@ class NandDevice {
   BadBlockTable bad_blocks_;
   BadBlockListener bad_block_listener_;
   DeviceAttribution attribution_;  // chips hold borrowed pointers into this
+  PayloadTable payloads_;          // blocks hold borrowed pointers into this
   bool cache_program_ = true;
   std::uint64_t power_loss_count_ = 0;
 };

@@ -7,16 +7,15 @@
 
 namespace rps::nand {
 
-TlcBlock::TlcBlock(std::uint32_t wordlines, TlcSequenceKind kind)
-    : kind_(kind), state_(wordlines), slots_(wordlines * 3) {}
+TlcBlock::TlcBlock(std::uint32_t wordlines, TlcSequenceKind kind, PayloadTable* payloads)
+    : kind_(kind), state_(wordlines), slots_(wordlines * 3), payloads_(payloads) {}
 
-Status TlcBlock::program(TlcPagePos pos, PageData data) {
+Status TlcBlock::program(TlcPagePos pos, const PageData& data) {
   const Status legal = can_program(pos);
   if (!legal.is_ok()) return legal;
   state_.mark_programmed(pos);
-  Slot& slot = slots_[pos.flat_index()];
-  slot.state = PageState::kValid;
-  slot.data = std::move(data);
+  slots_[pos.flat_index()] = PageSlot{data, PageState::kValid};
+  if (payloads_ != nullptr) payloads_->retain_existing(data.signature);
   ++programmed_;
   ++pass_counts_[static_cast<std::size_t>(pos.type)];
   return Status::ok();
@@ -24,28 +23,31 @@ Status TlcBlock::program(TlcPagePos pos, PageData data) {
 
 Result<PageData> TlcBlock::read(TlcPagePos pos) const {
   if (pos.wordline >= wordlines()) return ErrorCode::kOutOfRange;
-  const Slot& slot = slots_[pos.flat_index()];
-  switch (slot.state) {
+  const PageSlot& s = slots_[pos.flat_index()];
+  switch (s.state) {
     case PageState::kErased: return ErrorCode::kNotProgrammed;
     case PageState::kCorrupted: return ErrorCode::kEccUncorrectable;
-    case PageState::kValid: return slot.data;
+    case PageState::kValid: return s.record;
   }
   return ErrorCode::kInvalidArgument;
 }
 
 void TlcBlock::erase() {
-  for (Slot& slot : slots_) slot = Slot{};
+  if (payloads_ != nullptr) payloads_->release_valid(slots_);
+  std::fill(slots_.begin(), slots_.end(), PageSlot{});
   state_.reset();
   pass_counts_ = {0, 0, 0};
   programmed_ = 0;
+  corrupted_ = 0;
   ++erase_count_;
 }
 
 void TlcBlock::corrupt(TlcPagePos pos) {
-  Slot& slot = slots_[pos.flat_index()];
-  if (slot.state == PageState::kValid) {
-    slot.state = PageState::kCorrupted;
-    slot.data = PageData{};
+  PageSlot& s = slots_[pos.flat_index()];
+  if (s.state == PageState::kValid) {
+    if (payloads_ != nullptr) payloads_->release(s.record.signature);
+    s = PageSlot{PageData{}, PageState::kCorrupted};
+    ++corrupted_;
   }
 }
 
@@ -58,10 +60,10 @@ std::optional<TlcPagePos> TlcBlock::next_in_pass(TlcPageType type) const {
 }
 
 TlcChip::TlcChip(std::uint32_t blocks, std::uint32_t wordlines, TlcSequenceKind kind,
-                 const TlcTimingSpec& timing)
+                 const TlcTimingSpec& timing, PayloadTable* payloads)
     : timing_(timing) {
   blocks_.reserve(blocks);
-  for (std::uint32_t b = 0; b < blocks; ++b) blocks_.emplace_back(wordlines, kind);
+  for (std::uint32_t b = 0; b < blocks; ++b) blocks_.emplace_back(wordlines, kind, payloads);
   wear_.resize(blocks);  // preallocated up front: the ledger never grows
 }
 
@@ -71,14 +73,14 @@ Microseconds TlcChip::occupy(Microseconds now, Microseconds latency) {
   return start;
 }
 
-Result<OpTiming> TlcChip::program(std::uint32_t b, TlcPagePos pos, PageData data,
+Result<OpTiming> TlcChip::program(std::uint32_t b, TlcPagePos pos, const PageData& data,
                                   Microseconds now) {
   if (b >= blocks_.size()) return ErrorCode::kOutOfRange;
   const Status legal = blocks_[b].can_program(pos);
   if (!legal.is_ok()) return legal.code();
   const Microseconds start = occupy(now, timing_.program_us(pos.type));
   const std::uint64_t spare = data.spare;
-  const Status programmed = blocks_[b].program(pos, std::move(data));
+  const Status programmed = blocks_[b].program(pos, data);
   assert(programmed.is_ok());
   (void)programmed;
   if (pos.type == TlcPageType::kLsb) {
@@ -149,7 +151,7 @@ TlcDevice::TlcDevice(const TlcGeometry& geometry, const TlcTimingSpec& timing,
   chips_.reserve(geometry.num_chips());
   for (std::uint32_t c = 0; c < geometry.num_chips(); ++c) {
     chips_.push_back(std::make_unique<TlcChip>(
-        geometry.blocks_per_chip, geometry.wordlines_per_block, kind, timing));
+        geometry.blocks_per_chip, geometry.wordlines_per_block, kind, timing, &payloads_));
     chips_.back()->attach_attribution(&attribution_);
   }
 }
@@ -167,7 +169,7 @@ Microseconds TlcDevice::occupy_channel(std::uint32_t channel, Microseconds now) 
   return start;
 }
 
-Result<OpTiming> TlcDevice::program(const TlcPageAddress& addr, PageData data,
+Result<OpTiming> TlcDevice::program(const TlcPageAddress& addr, const PageData& data,
                                     Microseconds now) {
   if (!in_range(addr)) return ErrorCode::kOutOfRange;
   const Status legal = chips_[addr.chip]->block(addr.block).can_program(addr.pos);
@@ -175,7 +177,7 @@ Result<OpTiming> TlcDevice::program(const TlcPageAddress& addr, PageData data,
   const Microseconds bus_start =
       occupy_channel(geometry_.channel_of_chip(addr.chip), now);
   Result<OpTiming> cell = chips_[addr.chip]->program(
-      addr.block, addr.pos, std::move(data), bus_start + timing_.transfer_us);
+      addr.block, addr.pos, data, bus_start + timing_.transfer_us);
   assert(cell.is_ok());
   return OpTiming{bus_start, cell.value().complete};
 }
@@ -190,7 +192,7 @@ Result<TlcDevice::ReadResult> TlcDevice::read(const TlcPageAddress& addr,
       geometry_.channel_of_chip(addr.chip), sensed.value().timing.complete);
   ReadResult result;
   result.timing = OpTiming{sensed.value().timing.start, bus_start + timing_.transfer_us};
-  result.data = std::move(sensed.value().data);
+  result.data = sensed.value().data;
   return result;
 }
 
@@ -235,10 +237,7 @@ void TlcBlock::save(ser::Writer& w) const {
   w.u8(static_cast<std::uint8_t>(kind_));
   w.u64(erase_count_);
   w.u64(slots_.size());
-  for (const Slot& s : slots_) {
-    w.u8(static_cast<std::uint8_t>(s.state));
-    if (s.state == PageState::kValid) nand::save(w, s.data);
-  }
+  save_pages(w, slots_, programmed_ - corrupted_, payloads_);
 }
 
 void TlcBlock::load(ser::Reader& r) {
@@ -251,27 +250,26 @@ void TlcBlock::load(ser::Reader& r) {
     r.fail();
     return;
   }
+  load_pages(r, slots_, payloads_);
+  // Pass progression and counters derive from the slot states; iterating
+  // flat indices visits L, C, M of each word line in pass order.
   state_.reset();
   pass_counts_ = {0, 0, 0};
   programmed_ = 0;
+  corrupted_ = 0;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    const std::uint8_t raw = r.u8();
-    if (raw > static_cast<std::uint8_t>(PageState::kCorrupted)) {
+    if (slots_[i].state == PageState::kErased) continue;
+    const TlcPagePos pos{i / 3, static_cast<TlcPageType>(i % 3)};
+    if (state_.passes(pos.wordline) != static_cast<std::uint8_t>(pos.type)) {
+      // A later pass programmed over an erased earlier one: not a state a
+      // device can reach, and mark_programmed asserts on it.
       r.fail();
       return;
     }
-    Slot& s = slots_[i];
-    s.state = static_cast<PageState>(raw);
-    s.data = PageData{};
-    if (s.state == PageState::kValid) nand::load(r, s.data);
-    // Pass progression and counters derive from the slot states; iterating
-    // flat indices visits L, C, M of each word line in pass order.
-    if (s.state != PageState::kErased) {
-      const TlcPagePos pos{i / 3, static_cast<TlcPageType>(i % 3)};
-      state_.mark_programmed(pos);
-      ++programmed_;
-      ++pass_counts_[static_cast<std::size_t>(pos.type)];
-    }
+    state_.mark_programmed(pos);
+    ++programmed_;
+    if (slots_[i].state == PageState::kCorrupted) ++corrupted_;
+    ++pass_counts_[static_cast<std::size_t>(pos.type)];
   }
 }
 
@@ -310,9 +308,16 @@ void TlcChip::load(ser::Reader& r) {
     InFlight p;
     p.block = r.u32();
     p.pos.wordline = r.u32();
-    p.pos.type = static_cast<TlcPageType>(r.u8());
+    const std::uint8_t type = r.u8();
     p.start = r.i64();
     p.complete = r.i64();
+    // Indexes blocks_ at the next power loss: reject out-of-range values.
+    if (p.block >= blocks_.size() || p.pos.wordline >= blocks_[p.block].wordlines() ||
+        type > static_cast<std::uint8_t>(TlcPageType::kMsb)) {
+      r.fail();
+      return;
+    }
+    p.pos.type = static_cast<TlcPageType>(type);
     last_program_ = p;
   }
   for (BlockWear& wear : wear_) nand::load(r, wear);

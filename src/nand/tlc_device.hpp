@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "src/nand/attribution.hpp"
-#include "src/nand/block.hpp"  // PageData, PageState, kNonHostSpareFlag
-#include "src/nand/chip.hpp"   // OpTiming, OpCounters
+#include "src/nand/chip.hpp"  // OpTiming, OpCounters
+#include "src/nand/page.hpp"  // PageData, PageState, PayloadTable, kNonHostSpareFlag
 #include "src/nand/tlc.hpp"
 #include "src/util/result.hpp"
 #include "src/util/types.hpp"
@@ -82,13 +82,14 @@ struct TlcPageAddress {
 
 class TlcBlock {
  public:
-  TlcBlock(std::uint32_t wordlines, TlcSequenceKind kind);
+  /// `payloads` as for the MLC Block (null: standalone, no payload bytes).
+  TlcBlock(std::uint32_t wordlines, TlcSequenceKind kind, PayloadTable* payloads = nullptr);
 
   [[nodiscard]] std::uint32_t wordlines() const { return state_.wordlines(); }
   [[nodiscard]] Status can_program(TlcPagePos pos) const {
     return check_tlc_program_legality(state_, pos, kind_);
   }
-  Status program(TlcPagePos pos, PageData data);
+  Status program(TlcPagePos pos, const PageData& data);
   [[nodiscard]] Result<PageData> read(TlcPagePos pos) const;
   [[nodiscard]] PageState page_state(TlcPagePos pos) const {
     return slots_[pos.flat_index()].state;
@@ -114,29 +115,26 @@ class TlcBlock {
   void load(ser::Reader& r);
 
  private:
-  struct Slot {
-    PageState state = PageState::kErased;
-    PageData data;
-  };
-
   TlcSequenceKind kind_;
   TlcBlockState state_;
-  std::vector<Slot> slots_;
+  std::vector<PageSlot> slots_;  // per page, flat-indexed
+  PayloadTable* payloads_;       // borrowed from the device; may be null
   std::array<std::uint32_t, 3> pass_counts_{0, 0, 0};
-  std::uint32_t programmed_ = 0;
+  std::uint32_t programmed_ = 0;   // valid + corrupted
+  std::uint32_t corrupted_ = 0;
   std::uint64_t erase_count_ = 0;
 };
 
 class TlcChip {
  public:
   TlcChip(std::uint32_t blocks, std::uint32_t wordlines, TlcSequenceKind kind,
-          const TlcTimingSpec& timing);
+          const TlcTimingSpec& timing, PayloadTable* payloads = nullptr);
 
   [[nodiscard]] const TlcBlock& block(std::uint32_t b) const { return blocks_.at(b); }
   [[nodiscard]] TlcBlock& block(std::uint32_t b) { return blocks_.at(b); }
   [[nodiscard]] Microseconds busy_until() const { return busy_until_; }
 
-  Result<OpTiming> program(std::uint32_t b, TlcPagePos pos, PageData data,
+  Result<OpTiming> program(std::uint32_t b, TlcPagePos pos, const PageData& data,
                            Microseconds now);
   struct ReadOutcome {
     OpTiming timing;
@@ -183,6 +181,10 @@ class TlcDevice {
  public:
   TlcDevice(const TlcGeometry& geometry, const TlcTimingSpec& timing,
             TlcSequenceKind kind);
+  // Chips and blocks hold pointers into the device (attribution state,
+  // payload table), so it is never copied or moved.
+  TlcDevice(const TlcDevice&) = delete;
+  TlcDevice& operator=(const TlcDevice&) = delete;
 
   [[nodiscard]] const TlcGeometry& geometry() const { return geometry_; }
   [[nodiscard]] const TlcTimingSpec& timing() const { return timing_; }
@@ -190,7 +192,8 @@ class TlcDevice {
   [[nodiscard]] TlcChip& chip(std::uint32_t c) { return *chips_.at(c); }
   [[nodiscard]] const TlcChip& chip(std::uint32_t c) const { return *chips_.at(c); }
 
-  Result<OpTiming> program(const TlcPageAddress& addr, PageData data, Microseconds now);
+  Result<OpTiming> program(const TlcPageAddress& addr, const PageData& data,
+                           Microseconds now);
   struct ReadResult {
     OpTiming timing;
     Result<PageData> data = ErrorCode::kNotProgrammed;
@@ -222,6 +225,11 @@ class TlcDevice {
     return attribution_.counters;
   }
 
+  /// Optional payload bytes of the stored pages (same contract as
+  /// NandDevice::payloads()).
+  [[nodiscard]] const PayloadTable& payloads() const { return payloads_; }
+  [[nodiscard]] PayloadTable& payloads() { return payloads_; }
+
   /// Snapshot support.
   void save(ser::Writer& w) const;
   void load(ser::Reader& r);
@@ -236,6 +244,7 @@ class TlcDevice {
   std::vector<std::unique_ptr<TlcChip>> chips_;
   std::vector<Microseconds> channel_busy_until_;
   DeviceAttribution attribution_;  // chips hold borrowed pointers into this
+  PayloadTable payloads_;          // blocks hold borrowed pointers into this
 };
 
 }  // namespace rps::nand

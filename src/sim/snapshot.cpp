@@ -1,6 +1,6 @@
 #include "src/sim/snapshot.hpp"
 
-#include <cstdio>
+#include <cassert>
 
 #include "src/core/flex_tlc_ftl.hpp"
 #include "src/ftl/ftl_base.hpp"
@@ -50,11 +50,28 @@ bool geometry_matches(ser::Reader& r, const nand::TlcGeometry& g) {
          r.u32() == g.page_size_bytes;
 }
 
-void append_payload(ser::Writer& header, ser::Writer&& payload) {
-  const std::vector<std::uint8_t> body = payload.take();
-  header.u64(body.size());
-  header.bytes(body.data(), body.size());
-  header.u64(ser::fnv1a(body));
+/// One capture: header, payload and FNV-1a trailer written into one
+/// buffer sized exactly up front by a sizing pass over the same save code
+/// — no growth and no second copy of the payload.
+template <typename Ftl>
+std::vector<std::uint8_t> encode_snapshot(const Ftl& ftl, std::uint8_t family) {
+  ser::Writer sizer;
+  write_header(sizer, family, ftl.name());
+  write_geometry(sizer, ftl.device().geometry());
+  const std::size_t header = sizer.size() + 8;  // + the payload size word
+  ftl.save_state(sizer);
+  const std::size_t payload = sizer.size() + 8 - header;
+
+  std::vector<std::uint8_t> bytes(header + payload + 8);
+  ser::Writer w(bytes);
+  write_header(w, family, ftl.name());
+  write_geometry(w, ftl.device().geometry());
+  w.u64(payload);
+  ftl.save_state(w);
+  w.u64(ser::fnv1a(bytes.data() + header, payload));
+  // Both passes run the same save code over the same state.
+  assert(w.ok() && w.size() == bytes.size());
+  return bytes;
 }
 
 /// Parse + validate the header; on success returns a Reader positioned at
@@ -102,26 +119,14 @@ bool verify_stream(const std::vector<std::uint8_t>& bytes) {
 }  // namespace
 
 Snapshot Snapshot::capture(const ftl::FtlBase& ftl) {
-  ser::Writer w;
-  write_header(w, kFamilyMlc, ftl.name());
-  write_geometry(w, ftl.device().geometry());
-  ser::Writer payload;
-  ftl.save_state(payload);
-  append_payload(w, std::move(payload));
   Snapshot s;
-  s.bytes_ = w.take();
+  s.bytes_ = encode_snapshot(ftl, kFamilyMlc);
   return s;
 }
 
 Snapshot Snapshot::capture(const core::FlexTlcFtl& ftl) {
-  ser::Writer w;
-  write_header(w, kFamilyTlc, ftl.name());
-  write_geometry(w, ftl.device().geometry());
-  ser::Writer payload;
-  ftl.save_state(payload);
-  append_payload(w, std::move(payload));
   Snapshot s;
-  s.bytes_ = w.take();
+  s.bytes_ = encode_snapshot(ftl, kFamilyTlc);
   return s;
 }
 
@@ -166,28 +171,13 @@ Snapshot Snapshot::from_bytes(std::vector<std::uint8_t> bytes) {
 }
 
 bool Snapshot::save_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t written = bytes_.empty()
-                                  ? 0
-                                  : std::fwrite(bytes_.data(), 1, bytes_.size(), f);
-  const bool ok = std::fclose(f) == 0 && written == bytes_.size();
-  return ok;
+  return ser::write_file(path, bytes_);
 }
 
 std::optional<Snapshot> Snapshot::load_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) return std::nullopt;
-  Snapshot s = from_bytes(std::move(bytes));
+  std::optional<std::vector<std::uint8_t>> bytes = ser::read_file(path);
+  if (!bytes) return std::nullopt;
+  Snapshot s = from_bytes(std::move(*bytes));
   if (!s.valid()) return std::nullopt;
   return s;
 }

@@ -8,6 +8,13 @@
 // (unordered_map contents) is the *caller's* job to canonicalize (sort by
 // key) before writing.
 //
+// Writer never grows a buffer: a stream is encoded in two passes over the
+// same save code — a sizing pass (a default-constructed Writer only counts
+// bytes) and a write pass into a buffer of exactly that size (encode()).
+// Integers move as whole little-endian words; bulk encoders (a block's
+// page records, the mapping table) reserve their whole span with extend()
+// and fill it in one pass.
+//
 // Reader never throws: an underflow or explicit fail() poisons the stream
 // (all further reads return zeros) and the caller checks ok() once at the
 // top level. That keeps per-field load code branch-free.
@@ -16,22 +23,55 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace rps::ser {
 
+/// Store / load one little-endian word at `p` (any alignment).
+template <typename T>
+inline void store_le(std::uint8_t* p, T v) {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::big) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  } else {
+    std::memcpy(p, &v, sizeof(T));
+  }
+}
+
+template <typename T>
+[[nodiscard]] inline T load_le(const std::uint8_t* p) {
+  static_assert(std::is_unsigned_v<T>);
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::big) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) v |= static_cast<T>(p[i]) << (8 * i);
+  } else {
+    std::memcpy(&v, p, sizeof(T));
+  }
+  return v;
+}
+
 class Writer {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  /// A sizing pass: stores nothing, counts the bytes a save would write.
+  Writer() = default;
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  /// A write pass into `out`, which a sizing pass sized exactly. Writing
+  /// past its end stores nothing more and clears ok().
+  explicit Writer(std::span<std::uint8_t> out) : data_(out.data()), capacity_(out.size()) {}
+
+  void u8(std::uint8_t v) {
+    if (std::uint8_t* p = extend(1)) *p = v;
   }
-
+  void u32(std::uint32_t v) {
+    if (std::uint8_t* p = extend(4)) store_le(p, v);
+  }
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    if (std::uint8_t* p = extend(8)) store_le(p, v);
   }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -39,8 +79,7 @@ class Writer {
   void boolean(bool v) { u8(v ? 1 : 0); }
 
   void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    if (std::uint8_t* out = extend(n); out != nullptr && n != 0) std::memcpy(out, p, n);
   }
 
   void str(std::string_view s) {
@@ -48,13 +87,44 @@ class Writer {
     bytes(s.data(), s.size());
   }
 
-  [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
+  /// Append `n` bytes and return where the caller writes them: nullptr in
+  /// a sizing pass (the bytes are only counted) and on overflow.
+  [[nodiscard]] std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = size_;
+    size_ += n;
+    if (data_ == nullptr) return nullptr;
+    if (capacity_ - at < n) {
+      // The sizing pass disagreed with the write pass: a program bug the
+      // caller detects through ok() (nothing past the end is touched).
+      data_ = nullptr;
+      overflow_ = true;
+      return nullptr;
+    }
+    return data_ + at;
+  }
+
+  /// Bytes written (or, in a sizing pass, counted) so far.
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool ok() const { return !overflow_; }
 
  private:
-  std::vector<std::uint8_t> buf_;
+  std::uint8_t* data_ = nullptr;
+  std::size_t capacity_ = 0;
+  std::size_t size_ = 0;
+  bool overflow_ = false;
 };
+
+/// Encode `save(Writer&)`'s stream into one exactly-sized buffer: a sizing
+/// pass, then the write pass — no growth and no second copy.
+template <typename Save>
+[[nodiscard]] std::vector<std::uint8_t> encode(const Save& save) {
+  Writer sizer;
+  save(sizer);
+  std::vector<std::uint8_t> out(sizer.size());
+  Writer w(out);
+  save(w);
+  return out;
+}
 
 class Reader {
  public:
@@ -63,22 +133,16 @@ class Reader {
       : Reader(data.data(), data.size()) {}
 
   std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return data_[pos_++];
+    const std::uint8_t* p = take(1);
+    return p == nullptr ? 0 : *p;
   }
-
   std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-    return v;
+    const std::uint8_t* p = take(4);
+    return p == nullptr ? 0 : load_le<std::uint32_t>(p);
   }
-
   std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-    return v;
+    const std::uint8_t* p = take(8);
+    return p == nullptr ? 0 : load_le<std::uint64_t>(p);
   }
 
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
@@ -86,21 +150,35 @@ class Reader {
   bool boolean() { return u8() != 0; }
 
   void bytes(void* out, std::size_t n) {
-    if (!take(n)) {
+    const std::uint8_t* p = take(n);
+    if (p == nullptr) {
       std::memset(out, 0, n);
       return;
     }
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
+    if (n != 0) std::memcpy(out, p, n);
   }
 
   std::string str() {
     const std::uint64_t n = u64();
-    if (!take(static_cast<std::size_t>(n))) return {};
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(n));
-    pos_ += static_cast<std::size_t>(n);
-    return s;
+    if (n > remaining()) {
+      fail();
+      return {};
+    }
+    const std::uint8_t* p = take(static_cast<std::size_t>(n));
+    if (p == nullptr) return {};
+    return std::string(reinterpret_cast<const char*>(p), static_cast<std::size_t>(n));
+  }
+
+  /// Consume `n` bytes and return where they start; nullptr (and a
+  /// poisoned stream) when fewer remain. Bulk decoders parse from it.
+  [[nodiscard]] const std::uint8_t* take(std::size_t n) {
+    if (!ok_ || size_ - pos_ < n) {
+      ok_ = false;
+      return nullptr;
+    }
+    const std::uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
   }
 
   /// Poison the stream: a shape/invariant mismatch was detected. All
@@ -113,14 +191,6 @@ class Reader {
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
  private:
-  bool take(std::size_t n) {
-    if (!ok_ || size_ - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
@@ -142,5 +212,12 @@ class Reader {
                                          std::uint64_t h = 0xcbf29ce484222325ull) {
   return fnv1a(data.data(), data.size(), h);
 }
+
+/// A whole file's bytes, read once into a buffer sized from the file's
+/// length; nullopt when it cannot be opened or read.
+[[nodiscard]] std::optional<std::vector<std::uint8_t>> read_file(const std::string& path);
+
+/// Write `bytes` as the whole content of `path`; false on any I/O failure.
+[[nodiscard]] bool write_file(const std::string& path, std::span<const std::uint8_t> bytes);
 
 }  // namespace rps::ser

@@ -99,7 +99,7 @@ TEST(HotColdSeparation, DataIntegrityPreserved) {
     ASSERT_TRUE(ftl.write_data(lpn, {tag[lpn]}, 0, rng.next_double()).is_ok());
   }
   for (Lpn lpn = 0; lpn < n; ++lpn) {
-    const Result<nand::PageData> data = ftl.read_data(lpn, 0);
+    const Result<nand::PageImage> data = ftl.read_data(lpn, 0);
     ASSERT_TRUE(data.is_ok()) << lpn;
     EXPECT_EQ(data.value().bytes, std::vector<std::uint8_t>{tag[lpn]}) << lpn;
   }

@@ -69,7 +69,7 @@ TEST(Recovery, ParityRebuildsTheLostPage) {
   EXPECT_EQ(report.parity_pages_read, 1u);
 
   // The recovered page carries the original payload at a new location.
-  const Result<nand::PageData> data = ftl.read_data(0, ftl.device().all_idle_at());
+  const Result<nand::PageImage> data = ftl.read_data(0, ftl.device().all_idle_at());
   ASSERT_TRUE(data.is_ok());
   EXPECT_EQ(data.value().bytes, payload_for(0));
   EXPECT_TRUE(ftl.check_consistency());
@@ -81,7 +81,7 @@ TEST(Recovery, AllOtherPagesSurviveUntouched) {
   const auto victims = cut_power_during_msb(ftl);
   ftl.recover_from_power_loss(victims, ftl.device().all_idle_at());
   for (Lpn lpn = 1; lpn < wordlines; ++lpn) {
-    const Result<nand::PageData> data = ftl.read_data(lpn, ftl.device().all_idle_at());
+    const Result<nand::PageImage> data = ftl.read_data(lpn, ftl.device().all_idle_at());
     ASSERT_TRUE(data.is_ok()) << lpn;
     EXPECT_EQ(data.value().bytes, payload_for(lpn)) << lpn;
   }
@@ -119,7 +119,7 @@ TEST(Recovery, StaleDestroyedDataNeedsNoRestore) {
       ftl.recover_from_power_loss(victims, ftl.device().all_idle_at());
   EXPECT_EQ(report.pages_recovered, 0u);  // destroyed page held stale data
   EXPECT_EQ(report.pages_lost, 0u);
-  const Result<nand::PageData> data = ftl.read_data(0, ftl.device().all_idle_at());
+  const Result<nand::PageImage> data = ftl.read_data(0, ftl.device().all_idle_at());
   ASSERT_TRUE(data.is_ok());
   EXPECT_EQ(data.value().bytes, payload_for(77));
 }
@@ -153,7 +153,7 @@ TEST(Recovery, FastBlockParityBufferRecomputed) {
   const RecoveryReport report2 =
       ftl.recover_from_power_loss(victims2, ftl.device().all_idle_at());
   EXPECT_EQ(report2.pages_recovered, 1u);
-  const Result<nand::PageData> data = ftl.read_data(0, ftl.device().all_idle_at());
+  const Result<nand::PageImage> data = ftl.read_data(0, ftl.device().all_idle_at());
   ASSERT_TRUE(data.is_ok());
   EXPECT_EQ(data.value().bytes, payload_for(0));
 }

@@ -55,7 +55,7 @@ std::vector<std::uint64_t> apply_and_extract(sim::FtlKind kind,
   EXPECT_TRUE(ftl->check_consistency());
   std::vector<std::uint64_t> image(space, SIZE_MAX);
   for (Lpn lpn = 0; lpn < space; ++lpn) {
-    const Result<nand::PageData> data = ftl->read_data(lpn, 0);
+    const Result<nand::PageImage> data = ftl->read_data(lpn, 0);
     if (!data.is_ok()) continue;
     const std::vector<std::uint8_t>& b = data.value().bytes;
     EXPECT_EQ(b.size(), 3u) << "lpn " << lpn;

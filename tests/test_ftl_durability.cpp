@@ -181,10 +181,10 @@ TEST_P(PowerLossSweep, NoAcknowledgedDataLost) {
   const Microseconds check_at = ftl.device().all_idle_at();
   for (Lpn lpn = 0; lpn < n; ++lpn) {
     if (acknowledged_at[lpn] > cut) continue;
-    const Result<nand::PageData> data = ftl.read_data(lpn, check_at);
+    const Result<nand::PageImage> data = ftl.read_data(lpn, check_at);
     ASSERT_TRUE(data.is_ok())
         << "lpn " << lpn << " lost (cut at " << cut << ", seed " << GetParam() << ")";
-    EXPECT_EQ(data.value().signature, acknowledged_sig[lpn]) << "lpn " << lpn;
+    EXPECT_EQ(data.value().record.signature, acknowledged_sig[lpn]) << "lpn " << lpn;
   }
   EXPECT_TRUE(ftl.check_consistency());
 }

@@ -23,10 +23,10 @@ TEST(PageFtl, WriteReadRoundTrip) {
 TEST(PageFtl, WriteDataPayloadRoundTrip) {
   PageFtl ftl(tiny_config());
   ASSERT_TRUE(ftl.write_data(3, {1, 2, 3, 4}, 0).is_ok());
-  const Result<nand::PageData> data = ftl.read_data(3, 10'000);
+  const Result<nand::PageImage> data = ftl.read_data(3, 10'000);
   ASSERT_TRUE(data.is_ok());
   EXPECT_EQ(data.value().bytes, (std::vector<std::uint8_t>{1, 2, 3, 4}));
-  EXPECT_EQ(data.value().lpn, 3u);
+  EXPECT_EQ(data.value().record.lpn, 3u);
 }
 
 TEST(PageFtl, OutOfRangeLpn) {

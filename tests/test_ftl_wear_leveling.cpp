@@ -76,7 +76,7 @@ TEST(WearLeveling, DataSurvivesMigration) {
     }
   }
   for (Lpn lpn = n / 2; lpn < n; ++lpn) {
-    const Result<nand::PageData> data = ftl.read_data(lpn, 0);
+    const Result<nand::PageImage> data = ftl.read_data(lpn, 0);
     ASSERT_TRUE(data.is_ok()) << lpn;
     EXPECT_EQ(data.value().bytes,
               (std::vector<std::uint8_t>{static_cast<std::uint8_t>(lpn), 0x5a}))

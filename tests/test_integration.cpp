@@ -66,7 +66,7 @@ TEST_P(AllFtls, DataIntegrityUnderOverwrites) {
     ASSERT_TRUE(ftl->write_data(lpn, expected[lpn], t, 0.5).is_ok());
   }
   for (Lpn lpn = 0; lpn < n; ++lpn) {
-    const Result<nand::PageData> data = ftl->read_data(lpn, t);
+    const Result<nand::PageImage> data = ftl->read_data(lpn, t);
     ASSERT_TRUE(data.is_ok()) << "lpn " << lpn;
     EXPECT_EQ(data.value().bytes, expected[lpn]) << "lpn " << lpn;
   }

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "src/ftl/page_ftl.hpp"
+#include "src/nand/device.hpp"
+#include "src/util/random.hpp"
+
 namespace rps::nand {
 namespace {
 
@@ -13,11 +21,10 @@ PageData make_data(Lpn lpn, std::uint64_t sig) {
 }
 
 TEST(PageData, XorIsInvolution) {
-  PageData a = make_data(5, 0xdeadbeef);
-  a.bytes = {1, 2, 3};
-  PageData b = make_data(9, 0xfeedface);
-  b.bytes = {4, 5};
-  PageData acc = a;
+  // Records and payloads XOR together; the shorter payload zero-extends.
+  const PageImage a{make_data(5, 0xdeadbeef), {1, 2, 3}};
+  const PageImage b{make_data(9, 0xfeedface), {4, 5}};
+  PageImage acc = a;
   acc.xor_with(b);
   acc.xor_with(b);
   EXPECT_EQ(acc, a);
@@ -153,6 +160,62 @@ TEST(Block, SlcLsbOrderStillEnforced) {
   Block b(4, SequenceKind::kFps);
   ASSERT_TRUE(b.set_slc_mode().is_ok());
   EXPECT_EQ(b.program({2, PageType::kLsb}, {}).code(), ErrorCode::kSequenceViolation);
+}
+
+TEST(PayloadTable, EntryLivesExactlyAsLongAsAPageCarriesIt) {
+  NandDevice dev(Geometry::tiny(), TimingSpec::paper(), SequenceKind::kRps);
+  const PageData d = make_data(3, 0xabc);
+  const std::vector<std::uint8_t> bytes{1, 2, 3};
+  {
+    const PayloadPin pin(dev.payloads(), d.signature, bytes);
+    ASSERT_TRUE(dev.program({0, 0, {0, PageType::kLsb}}, d, 0).is_ok());
+  }
+  ASSERT_EQ(dev.payloads().size(), 1u);  // the page holds it past the pin
+  // A copy of the record (a GC relocation) shares the bytes.
+  ASSERT_TRUE(dev.program({1, 0, {0, PageType::kLsb}}, d, 0).is_ok());
+  EXPECT_TRUE(std::ranges::equal(dev.payloads().find(d.signature), bytes));
+
+  ASSERT_TRUE(dev.erase({0, 0}, dev.all_idle_at()).is_ok());
+  EXPECT_TRUE(dev.block({0, 0}).is_erased());  // applies the lazy erase
+  EXPECT_EQ(dev.payloads().size(), 1u);        // the copy still carries it
+  ASSERT_TRUE(dev.erase({1, 0}, dev.all_idle_at()).is_ok());
+  EXPECT_TRUE(dev.block({1, 0}).is_erased());
+  EXPECT_TRUE(dev.payloads().empty());
+}
+
+TEST(PayloadTable, FailedProgramLeavesNoEntry) {
+  NandDevice dev(Geometry::tiny(), TimingSpec::paper(), SequenceKind::kRps);
+  const PageData d = make_data(3, 0xabc);
+  {
+    const PayloadPin pin(dev.payloads(), d.signature, std::vector<std::uint8_t>{7});
+    // MSB before its paired LSB: rejected.
+    EXPECT_FALSE(dev.program({0, 0, {0, PageType::kMsb}}, d, 0).is_ok());
+  }
+  EXPECT_TRUE(dev.payloads().empty());
+}
+
+TEST(PayloadTable, CorruptedPageWithoutParityCoverIsUncorrectable) {
+  // pageFTL keeps no parity: a power cut through a payload write's
+  // program destroys it for good, payload and all.
+  ftl::PageFtl ftl(ftl::FtlConfig::tiny());
+  const Result<ftl::HostOp> op = ftl.write_data(0, {9, 8, 7}, 0);
+  ASSERT_TRUE(op.is_ok());
+  ASSERT_FALSE(ftl.device().inject_power_loss(op.value().complete - 1).empty());
+  EXPECT_EQ(ftl.read_data(0, ftl.device().all_idle_at()).code(),
+            ErrorCode::kEccUncorrectable);
+  EXPECT_TRUE(ftl.device().payloads().empty());
+}
+
+TEST(PayloadTable, RunWithoutPayloadsLeavesTableEmpty) {
+  ftl::PageFtl ftl(ftl::FtlConfig::tiny());
+  const Lpn span = ftl.exported_pages();
+  Rng rng(0x9a71);
+  for (Lpn i = 0; i < 4 * span; ++i) {
+    const Lpn lpn = i < span ? i : rng.next_below(span);
+    ASSERT_TRUE(ftl.write(lpn, ftl.device().all_idle_at(), 0.5).is_ok());
+  }
+  EXPECT_GT(ftl.stats().gc_copy_pages, 0u);
+  EXPECT_TRUE(ftl.device().payloads().empty());
 }
 
 }  // namespace

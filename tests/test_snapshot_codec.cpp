@@ -1,0 +1,753 @@
+// Snapshot codec against a reference model of the codec it replaced.
+//
+// The codec moves whole little-endian words, encodes a block's page slots
+// and the mapping table in one pass, and writes each capture into one
+// exactly-sized buffer. This file keeps the per-field, byte-at-a-time
+// encoder and decoder it replaced as a test-only reference model and
+// checks, for the five MLC FTLs x planes 1/2/4 and the TLC FTL, in states
+// the steady-state goldens miss — pages corrupted by a power cut, pending
+// (voidable) erases, bad-block remaps, pages carrying payload bytes:
+//   - the reference decoder parses the captured stream, and the pages it
+//     decodes equal the live FTL's;
+//   - the reference encoder re-encodes the live state to exactly the
+//     captured bytes, block by block and for the mapping table;
+//   - a restore through the new decoder holds what the reference decoded
+//     and captures the identical stream again.
+//
+// The loader-validation tests mutate one decoded field of a real capture,
+// recompute the FNV-1a trailer so the stream passes from_bytes, and
+// expect restore() to reject it.
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "src/core/flex_tlc_ftl.hpp"
+#include "src/ftl/ftl_base.hpp"
+#include "src/nand/attribution.hpp"
+#include "src/sim/runner.hpp"
+#include "src/sim/snapshot.hpp"
+#include "src/util/random.hpp"
+#include "src/util/serialize.hpp"
+
+namespace rps::sim {
+namespace {
+
+// ---- Reference model: the per-field codec the bulk codec replaced ------
+
+/// Byte-at-a-time little-endian writer.
+class RefWriter {
+ public:
+  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void boolean(bool v) { u8(v ? 1 : 0); }
+  void bytes(const std::vector<std::uint8_t>& b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
+  [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
+
+ private:
+  std::vector<std::uint8_t> buf_;
+};
+
+/// Byte-at-a-time little-endian reader; underflow poisons the stream.
+class RefReader {
+ public:
+  explicit RefReader(const std::vector<std::uint8_t>& data) : data_(data) {}
+
+  std::uint8_t u8() { return take(1) ? data_[pos_++] : 0; }
+  std::uint32_t u32() {
+    if (!take(4)) return 0;
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
+    return v;
+  }
+  std::uint64_t u64() {
+    if (!take(8)) return 0;
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
+    return v;
+  }
+  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  bool boolean() { return u8() != 0; }
+  std::vector<std::uint8_t> bytes(std::uint64_t n) {
+    if (!take(n)) return {};
+    std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
+                                  data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    pos_ += n;
+    return out;
+  }
+  /// A count about to drive a loop of at least `unit` bytes per step.
+  std::uint64_t count(std::size_t unit) {
+    const std::uint64_t n = u64();
+    if (n > (data_.size() - pos_) / unit) ok_ = false;
+    return ok_ ? n : 0;
+  }
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] std::size_t pos() const { return pos_; }
+
+ private:
+  bool take(std::uint64_t n) {
+    if (!ok_ || data_.size() - pos_ < n) ok_ = false;
+    return ok_;
+  }
+
+  const std::vector<std::uint8_t>& data_;
+  std::size_t pos_ = 0;
+  bool ok_ = true;
+};
+
+struct RefPage {
+  nand::PageState state = nand::PageState::kErased;
+  nand::PageData record;            // default unless valid
+  std::vector<std::uint8_t> bytes;  // payload, valid pages only
+
+  friend bool operator==(const RefPage&, const RefPage&) = default;
+};
+
+/// One block as the stream carries it. `reads` and `slc` exist only in
+/// MLC blocks; begin/end locate the block's bytes in the stream.
+struct RefBlock {
+  std::uint8_t kind = 0;
+  std::uint64_t erase_count = 0;
+  std::uint64_t reads = 0;
+  bool slc = false;
+  std::vector<RefPage> pages;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+
+  [[nodiscard]] bool same_content(const RefBlock& o) const {
+    return kind == o.kind && erase_count == o.erase_count && reads == o.reads &&
+           slc == o.slc && pages == o.pages;
+  }
+};
+
+RefPage ref_load_page(RefReader& r) {
+  RefPage p;
+  p.state = static_cast<nand::PageState>(r.u8());
+  if (p.state == nand::PageState::kValid) {
+    p.record.lpn = r.u64();
+    p.record.signature = r.u64();
+    p.record.spare = r.u64();
+    p.record.version = r.u64();
+    p.bytes = r.bytes(r.u64());
+  }
+  return p;
+}
+
+RefBlock ref_load_block(RefReader& r, bool mlc) {
+  RefBlock b;
+  b.begin = r.pos();
+  b.kind = r.u8();
+  b.erase_count = r.u64();
+  if (mlc) {
+    b.reads = r.u64();
+    b.slc = r.boolean();
+  }
+  const std::uint64_t pages = r.count(1);
+  for (std::uint64_t i = 0; i < pages && r.ok(); ++i) b.pages.push_back(ref_load_page(r));
+  b.end = r.pos();
+  return b;
+}
+
+std::vector<std::uint8_t> ref_save_block(const RefBlock& b, bool mlc) {
+  RefWriter w;
+  w.u8(b.kind);
+  w.u64(b.erase_count);
+  if (mlc) {
+    w.u64(b.reads);
+    w.boolean(b.slc);
+  }
+  w.u64(b.pages.size());
+  for (const RefPage& p : b.pages) {
+    w.u8(static_cast<std::uint8_t>(p.state));
+    if (p.state != nand::PageState::kValid) continue;
+    w.u64(p.record.lpn);
+    w.u64(p.record.signature);
+    w.u64(p.record.spare);
+    w.u64(p.record.version);
+    w.u64(p.bytes.size());
+    w.bytes(p.bytes);
+  }
+  return w.data();
+}
+
+/// A live MLC block in reference form. Reads the counters before peeking
+/// (a peek counts as a sensing pass).
+RefBlock ref_of(const nand::Block& block, const nand::PayloadTable& payloads) {
+  RefBlock b;
+  b.kind = static_cast<std::uint8_t>(block.sequence_kind());
+  b.erase_count = block.erase_count();
+  b.reads = block.reads_since_erase();
+  b.slc = block.slc_mode();
+  for (std::uint32_t i = 0; i < block.num_pages(); ++i) {
+    const nand::PagePos pos = nand::PagePos::from_flat(i);
+    RefPage p;
+    p.state = block.page_state(pos);
+    if (p.state == nand::PageState::kValid) {
+      p.record = *block.peek(pos);
+      const auto bytes = payloads.find(p.record.signature);
+      p.bytes.assign(bytes.begin(), bytes.end());
+    }
+    b.pages.push_back(std::move(p));
+  }
+  return b;
+}
+
+RefBlock ref_of(const nand::TlcBlock& block, nand::TlcSequenceKind kind,
+                const nand::PayloadTable& payloads) {
+  RefBlock b;
+  b.kind = static_cast<std::uint8_t>(kind);
+  b.erase_count = block.erase_count();
+  for (std::uint32_t i = 0; i < block.wordlines() * 3; ++i) {
+    const nand::TlcPagePos pos{i / 3, static_cast<nand::TlcPageType>(i % 3)};
+    RefPage p;
+    p.state = block.page_state(pos);
+    if (p.state == nand::PageState::kValid) {
+      p.record = block.read(pos).value();
+      const auto bytes = payloads.find(p.record.signature);
+      p.bytes.assign(bytes.begin(), bytes.end());
+    }
+    b.pages.push_back(std::move(p));
+  }
+  return b;
+}
+
+std::vector<std::uint8_t> ref_save_mapping(const ftl::MappingTable& mapping) {
+  RefWriter w;
+  w.u64(mapping.exported_pages());
+  for (Lpn lpn = 0; lpn < mapping.exported_pages(); ++lpn) {
+    const Result<nand::PageAddress> addr = mapping.lookup(lpn);
+    w.boolean(addr.is_ok());
+    if (!addr.is_ok()) continue;
+    w.u32(addr.value().chip);
+    w.u32(addr.value().block);
+    w.u32(addr.value().pos.wordline);
+    w.u8(static_cast<std::uint8_t>(addr.value().pos.type));
+  }
+  return w.data();
+}
+
+/// The reference decoder's view of a capture: every block (by unit and
+/// physical block), pending erases, the mapping table, and the offsets of
+/// the fields the loader-validation tests mutate.
+struct RefStream {
+  std::size_t payload_begin = 0;
+  std::vector<std::vector<RefBlock>> blocks;
+  std::vector<std::set<std::uint32_t>> pending;  // blocks with a pending erase
+  std::size_t first_last_program_block = 0;       // offset of a u32, 0 = none
+  std::size_t first_pending_block = 0;            // offset of a u32, 0 = none
+  std::size_t mapping_begin = 0;
+  std::size_t mapping_end = 0;
+  std::size_t first_mapped_address = 0;  // offset of a mapped entry's chip u32
+  std::size_t first_block_counts = 0;    // offset of block 0's valid-count u32
+  std::size_t first_free_block = 0;      // offset of a free-list u32, 0 = none
+
+  [[nodiscard]] std::size_t corrupted_pages() const {
+    std::size_t n = 0;
+    for (const auto& unit : blocks) {
+      for (const RefBlock& b : unit) {
+        for (const RefPage& p : b.pages) n += p.state == nand::PageState::kCorrupted;
+      }
+    }
+    return n;
+  }
+  [[nodiscard]] std::size_t pending_erases() const {
+    std::size_t n = 0;
+    for (const auto& unit : pending) n += unit.size();
+    return n;
+  }
+  /// Distinct payload-carrying signatures among valid pages.
+  [[nodiscard]] std::size_t payload_entries() const {
+    std::set<std::uint64_t> signatures;
+    for (const auto& unit : blocks) {
+      for (const RefBlock& b : unit) {
+        for (const RefPage& p : b.pages) {
+          if (!p.bytes.empty()) signatures.insert(p.record.signature);
+        }
+      }
+    }
+    return signatures.size();
+  }
+};
+
+void ref_skip_header(RefReader& r, std::size_t geometry_words) {
+  (void)r.u64();  // magic
+  (void)r.u32();  // version
+  (void)r.u8();   // family
+  (void)r.bytes(r.u64());
+  for (std::size_t i = 0; i < geometry_words; ++i) (void)r.u32();
+  (void)r.u64();  // payload size
+}
+
+std::size_t attribution_bytes() {
+  ser::Writer sizer;
+  nand::save(sizer, nand::AttributionCounters{});
+  return sizer.size();
+}
+
+/// Parse an MLC capture per field: header, device, mapping, block pools.
+RefStream ref_parse_mlc(const std::vector<std::uint8_t>& bytes) {
+  RefStream s;
+  RefReader r(bytes);
+  ref_skip_header(r, 7);
+  s.payload_begin = r.pos();
+  const std::uint64_t units = r.count(8);
+  s.blocks.resize(units);
+  s.pending.resize(units);
+  for (std::uint64_t u = 0; u < units && r.ok(); ++u) {
+    const std::uint64_t blocks = r.count(1);
+    for (std::uint64_t b = 0; b < blocks && r.ok(); ++b) {
+      s.blocks[u].push_back(ref_load_block(r, /*mlc=*/true));
+    }
+    (void)r.i64();  // busy_until
+    (void)r.i64();  // busy_total
+    for (int i = 0; i < 4; ++i) (void)r.u64();  // op counters
+    if (r.boolean()) {  // in-flight program
+      if (s.first_last_program_block == 0) s.first_last_program_block = r.pos();
+      (void)r.u32();
+      (void)r.u32();
+      (void)r.u8();
+      (void)r.i64();
+      (void)r.i64();
+      (void)r.u32();
+    }
+    const std::uint64_t pending = r.count(21);
+    for (std::uint64_t i = 0; i < pending && r.ok(); ++i) {
+      if (s.first_pending_block == 0) s.first_pending_block = r.pos();
+      s.pending[u].insert(r.u32());
+      (void)r.i64();
+      (void)r.u8();
+      (void)r.i64();
+    }
+    (void)r.boolean();  // program suspend
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      (void)r.u64();
+      (void)r.u64();
+      (void)r.i64();
+    }
+  }
+  const std::uint64_t channels = r.count(8);
+  for (std::uint64_t i = 0; i < channels; ++i) (void)r.i64();
+  const std::uint64_t bad_units = r.count(32);
+  for (std::uint64_t u = 0; u < bad_units && r.ok(); ++u) {
+    const std::uint64_t remaps = r.count(8);
+    for (std::uint64_t i = 0; i < remaps; ++i) (void)r.bytes(8);
+    (void)r.bytes(4 * r.count(4));  // spare pool
+    (void)r.bytes(r.count(1));      // bad flags
+    (void)r.bytes(r.count(1));      // retired flags
+  }
+  for (int i = 0; i < 4; ++i) (void)r.u64();
+  (void)r.boolean();
+  (void)r.boolean();
+  (void)r.boolean();  // cache program
+  (void)r.u64();      // power losses
+  (void)r.bytes(attribution_bytes());
+
+  s.mapping_begin = r.pos();
+  const std::uint64_t lpns = r.count(1);
+  for (std::uint64_t lpn = 0; lpn < lpns && r.ok(); ++lpn) {
+    if (!r.boolean()) continue;
+    if (s.first_mapped_address == 0) s.first_mapped_address = r.pos();
+    (void)r.bytes(13);  // chip, block, word line, page type
+  }
+  s.mapping_end = r.pos();
+
+  const std::uint64_t pool_chips = r.count(8);
+  for (std::uint64_t c = 0; c < pool_chips && r.ok(); ++c) {
+    const std::uint64_t blocks = r.count(9);
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      (void)r.u8();
+      if (s.first_block_counts == 0) s.first_block_counts = r.pos();
+      (void)r.u32();
+      (void)r.u32();
+    }
+    const std::uint64_t free = r.count(4);
+    for (std::uint64_t i = 0; i < free; ++i) {
+      if (s.first_free_block == 0) s.first_free_block = r.pos();
+      (void)r.u32();
+    }
+    (void)r.u64();
+  }
+  EXPECT_TRUE(r.ok()) << "reference decoder ran off the stream";
+  return s;
+}
+
+/// Parse a TLC capture's device section per field.
+RefStream ref_parse_tlc(const std::vector<std::uint8_t>& bytes) {
+  RefStream s;
+  RefReader r(bytes);
+  ref_skip_header(r, 5);
+  s.payload_begin = r.pos();
+  const std::uint64_t chips = r.count(8);
+  s.blocks.resize(chips);
+  s.pending.resize(chips);
+  for (std::uint64_t c = 0; c < chips && r.ok(); ++c) {
+    const std::uint64_t blocks = r.count(1);
+    for (std::uint64_t b = 0; b < blocks && r.ok(); ++b) {
+      s.blocks[c].push_back(ref_load_block(r, /*mlc=*/false));
+    }
+    (void)r.i64();
+    for (int i = 0; i < 4; ++i) (void)r.u64();
+    if (r.boolean()) {
+      (void)r.u32();
+      (void)r.u32();
+      (void)r.u8();
+      (void)r.i64();
+      (void)r.i64();
+    }
+    for (std::uint64_t b = 0; b < blocks; ++b) (void)r.bytes(24);
+  }
+  EXPECT_TRUE(r.ok()) << "reference decoder ran off the stream";
+  return s;
+}
+
+// ---- Scenario ---------------------------------------------------------
+
+std::vector<std::uint8_t> payload_for(std::uint64_t lpn, int i) {
+  // Varying lengths make parity XOR zero-extend payloads.
+  std::vector<std::uint8_t> bytes(1 + (lpn + static_cast<std::uint64_t>(i)) % 9);
+  for (std::size_t k = 0; k < bytes.size(); ++k) {
+    bytes[k] = static_cast<std::uint8_t>(lpn * 31 + static_cast<std::uint64_t>(i) + k);
+  }
+  return bytes;
+}
+
+ftl::FtlConfig codec_config(std::uint32_t planes) {
+  ftl::FtlConfig config = ftl::FtlConfig::tiny();
+  config.geometry.planes_per_chip = planes;
+  config.bad_blocks.spare_blocks_per_unit = 2;
+  config.bad_blocks.factory_bad_ppm = 100'000;
+  return config;
+}
+
+/// Overwrites at time 0 run every chip's timeline far ahead of the clock,
+/// so GC erases stay pending (charged, not yet applied); every fifth
+/// write carries payload bytes.
+template <typename Ftl>
+void drive(Ftl& ftl, Lpn span, std::uint64_t seed) {
+  Rng rng(seed);
+  for (int i = 0; i < 900; ++i) {
+    const Lpn lpn = i < static_cast<int>(span) ? static_cast<Lpn>(i) : rng.next_below(span);
+    if (i % 5 == 0) {
+      ASSERT_TRUE(ftl.write_data(lpn, payload_for(lpn, i), 0, 0.5).is_ok()) << i;
+    } else {
+      ASSERT_TRUE(ftl.write(lpn, 0, 0.5).is_ok()) << i;
+    }
+  }
+}
+
+/// Cut power halfway through the charged timeline: each unit's last
+/// program is destroyed (and an MSB victim's paired LSB page with it).
+void cut_power(nand::NandDevice& device) {
+  ASSERT_FALSE(device.inject_power_loss(device.all_idle_at() / 2).empty());
+}
+
+/// A TLC chip loses only a program in flight at the cut: cut inside the
+/// first chip whose timeline ends with a program.
+void cut_power(nand::TlcDevice& device) {
+  for (std::uint32_t c = 0; c < device.geometry().num_chips(); ++c) {
+    if (!device.inject_power_loss(device.chip(c).busy_until() - 1).empty()) return;
+  }
+  FAIL() << "no TLC chip had a program in flight";
+}
+
+/// Keep writing until some unit holds a pending erase (GC erases stay
+/// pending until their block is touched again).
+void write_until_pending_erase(ftl::FtlBase& ftl, std::uint64_t seed) {
+  Rng rng(seed);
+  const Lpn span = ftl.exported_pages() * 6 / 10;
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(ftl.write(rng.next_below(span), 0, 0.5).is_ok());
+    if (ref_parse_mlc(Snapshot::capture(ftl).bytes()).pending_erases() > 0) return;
+  }
+  FAIL() << "no pending erase after 2000 writes";
+}
+
+Snapshot rechecksum(std::vector<std::uint8_t> bytes, std::size_t payload_begin) {
+  const std::size_t payload = bytes.size() - 8 - payload_begin;
+  ser::store_le(bytes.data() + bytes.size() - 8,
+                ser::fnv1a(bytes.data() + payload_begin, payload));
+  return Snapshot::from_bytes(std::move(bytes));
+}
+
+// ---- Codec equivalence ------------------------------------------------
+
+/// Check one MLC capture of `original` against the reference model.
+void check_mlc_capture(FtlKind kind, const ftl::FtlConfig& config, ftl::FtlBase& original) {
+  const Snapshot snapshot = Snapshot::capture(original);
+  const std::vector<std::uint8_t>& bytes = snapshot.bytes();
+  const RefStream ref = ref_parse_mlc(bytes);
+  ASSERT_EQ(ref.blocks.size(), original.device().num_units());
+  EXPECT_EQ(original.device().payloads().size(), ref.payload_entries());
+
+  // Reference re-encode of the decoded pieces reproduces their bytes.
+  for (const auto& unit : ref.blocks) {
+    for (const RefBlock& b : unit) {
+      const std::vector<std::uint8_t> expected(bytes.begin() + static_cast<std::ptrdiff_t>(b.begin),
+                                               bytes.begin() + static_cast<std::ptrdiff_t>(b.end));
+      ASSERT_EQ(ref_save_block(b, true), expected);
+    }
+  }
+
+  // Restore through the new decoder: same stream, same content.
+  std::unique_ptr<ftl::FtlBase> restored = make_ftl(kind, config);
+  ASSERT_TRUE(snapshot.restore(*restored));
+  EXPECT_EQ(restored->device().payloads().size(), ref.payload_entries());
+  EXPECT_EQ(Snapshot::capture(*restored).bytes(), bytes);
+  const std::vector<std::uint8_t> mapping(bytes.begin() + static_cast<std::ptrdiff_t>(ref.mapping_begin),
+                                          bytes.begin() + static_cast<std::ptrdiff_t>(ref.mapping_end));
+  EXPECT_EQ(ref_save_mapping(restored->mapping()), mapping);
+  EXPECT_EQ(ref_save_mapping(original.mapping()), mapping);
+
+  // Block by block: the reference encoder over the live state writes the
+  // captured bytes, and both live FTLs hold what the reference decoded.
+  // Touching a block applies its pending erase, so those are compared at
+  // the byte level only (above, and by the identical re-capture).
+  for (std::uint32_t u = 0; u < ref.blocks.size(); ++u) {
+    for (std::uint32_t b = 0; b < ref.blocks[u].size(); ++b) {
+      if (ref.pending[u].count(b) != 0) continue;
+      const RefBlock& decoded = ref.blocks[u][b];
+      const RefBlock live = ref_of(restored->device().chip(u).block(b),
+                                   restored->device().payloads());
+      ASSERT_TRUE(live.same_content(decoded)) << "unit " << u << " block " << b;
+      const std::vector<std::uint8_t> expected(
+          bytes.begin() + static_cast<std::ptrdiff_t>(decoded.begin),
+          bytes.begin() + static_cast<std::ptrdiff_t>(decoded.end));
+      ASSERT_EQ(ref_save_block(live, true), expected) << "unit " << u << " block " << b;
+      ASSERT_TRUE(ref_of(original.device().chip(u).block(b), original.device().payloads())
+                      .same_content(decoded))
+          << "unit " << u << " block " << b;
+    }
+  }
+}
+
+struct Case {
+  FtlKind kind;
+  std::uint32_t planes;
+};
+
+std::string case_name(const testing::TestParamInfo<Case>& info) {
+  return std::string(to_string(info.param.kind)) + "_planes" +
+         std::to_string(info.param.planes);
+}
+
+class SnapshotCodecReference : public testing::TestWithParam<Case> {};
+
+TEST_P(SnapshotCodecReference, PendingErasesRemapsAndPayloads) {
+  const Case param = GetParam();
+  const ftl::FtlConfig config = codec_config(param.planes);
+  std::unique_ptr<ftl::FtlBase> ftl = make_ftl(param.kind, config);
+  ASSERT_GT(ftl->device().bad_blocks().counters().remapped, 0u);
+  drive(*ftl, ftl->exported_pages() * 6 / 10, 0xc0dec + param.planes);
+  write_until_pending_erase(*ftl, 0xe5a5e);
+  ASSERT_FALSE(ftl->device().payloads().empty());
+  check_mlc_capture(param.kind, config, *ftl);
+}
+
+TEST_P(SnapshotCodecReference, PagesCorruptedByPowerCut) {
+  const Case param = GetParam();
+  const ftl::FtlConfig config = codec_config(param.planes);
+  std::unique_ptr<ftl::FtlBase> ftl = make_ftl(param.kind, config);
+  drive(*ftl, ftl->exported_pages() * 6 / 10, 0xc0dec + param.planes);
+  cut_power(ftl->device());
+  EXPECT_GT(ref_parse_mlc(Snapshot::capture(*ftl).bytes()).corrupted_pages(), 0u);
+  check_mlc_capture(param.kind, config, *ftl);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFtlsAllPlanes, SnapshotCodecReference,
+    testing::Values(Case{FtlKind::kPage, 1}, Case{FtlKind::kPage, 2},
+                    Case{FtlKind::kPage, 4}, Case{FtlKind::kParity, 1},
+                    Case{FtlKind::kParity, 2}, Case{FtlKind::kParity, 4},
+                    Case{FtlKind::kRtf, 1}, Case{FtlKind::kRtf, 2},
+                    Case{FtlKind::kRtf, 4}, Case{FtlKind::kFlex, 1},
+                    Case{FtlKind::kFlex, 2}, Case{FtlKind::kFlex, 4},
+                    Case{FtlKind::kSlc, 1}, Case{FtlKind::kSlc, 2},
+                    Case{FtlKind::kSlc, 4}),
+    case_name);
+
+TEST(SnapshotCodecReferenceTlc, PayloadsAndPowerCut) {
+  const core::TlcFtlConfig config = core::TlcFtlConfig::tiny();
+  core::FlexTlcFtl ftl(config);
+  drive(ftl, ftl.exported_pages() * 6 / 10, 0x71c);
+  for (const bool cut : {false, true}) {
+    if (cut) cut_power(ftl.device());
+    const Snapshot snapshot = Snapshot::capture(ftl);
+    const std::vector<std::uint8_t>& bytes = snapshot.bytes();
+    const RefStream ref = ref_parse_tlc(bytes);
+    if (cut) {
+      EXPECT_GT(ref.corrupted_pages(), 0u);
+    }
+    EXPECT_EQ(ftl.device().payloads().size(), ref.payload_entries());
+    EXPECT_GT(ref.payload_entries(), 0u);
+
+    core::FlexTlcFtl restored(config);
+    ASSERT_TRUE(snapshot.restore(restored));
+    EXPECT_EQ(Snapshot::capture(restored).bytes(), bytes);
+    for (std::uint32_t c = 0; c < ref.blocks.size(); ++c) {
+      for (std::uint32_t b = 0; b < ref.blocks[c].size(); ++b) {
+        const RefBlock& decoded = ref.blocks[c][b];
+        const std::vector<std::uint8_t> expected(
+            bytes.begin() + static_cast<std::ptrdiff_t>(decoded.begin),
+            bytes.begin() + static_cast<std::ptrdiff_t>(decoded.end));
+        ASSERT_EQ(ref_save_block(decoded, false), expected);
+        for (const core::FlexTlcFtl* live : {&ftl, &restored}) {
+          const RefBlock state = ref_of(live->device().chip(c).block(b),
+                                        live->device().sequence_kind(),
+                                        live->device().payloads());
+          ASSERT_TRUE(state.same_content(decoded)) << "chip " << c << " block " << b;
+          ASSERT_EQ(ref_save_block(state, false), expected);
+        }
+      }
+    }
+  }
+}
+
+TEST(SnapshotCodecPrimitives, WordsMatchByteAtATimeReference) {
+  // Random field sequences through both writers, read back through both
+  // readers: identical bytes, identical values.
+  Rng rng(0x5eed);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::pair<int, std::uint64_t>> fields;
+    for (int i = 0; i < 64; ++i) fields.emplace_back(static_cast<int>(rng.next_below(4)), rng.next_u64());
+    const auto save = [&](auto& w) {
+      for (const auto& [kind, v] : fields) {
+        switch (kind) {
+          case 0: w.u8(static_cast<std::uint8_t>(v)); break;
+          case 1: w.u32(static_cast<std::uint32_t>(v)); break;
+          case 2: w.u64(v); break;
+          default: w.boolean((v & 1) != 0); break;
+        }
+      }
+    };
+    RefWriter ref;
+    save(ref);
+    const std::vector<std::uint8_t> bytes = ser::encode([&](ser::Writer& w) { save(w); });
+    ASSERT_EQ(bytes, ref.data());
+
+    ser::Reader r(bytes);
+    RefReader rr(bytes);
+    for (const auto& [kind, v] : fields) {
+      switch (kind) {
+        case 0: ASSERT_EQ(r.u8(), rr.u8()); break;
+        case 1: ASSERT_EQ(r.u32(), rr.u32()); break;
+        case 2: ASSERT_EQ(r.u64(), rr.u64()); break;
+        default: ASSERT_EQ(r.boolean(), rr.boolean()); break;
+      }
+    }
+    EXPECT_TRUE(r.ok() && r.at_end());
+  }
+}
+
+TEST(SnapshotCodecPrimitives, PageImageMatchesPageSlotEncoding) {
+  // Parity accumulators encode exactly like a valid page slot's record.
+  const nand::PageImage image{{7, 0xfeed, 0x42, 9}, {1, 2, 3}};
+  RefBlock one;
+  one.pages.push_back(RefPage{nand::PageState::kValid, image.record, image.bytes});
+  const std::vector<std::uint8_t> slot = ref_save_block(one, false);
+  const std::vector<std::uint8_t> bytes =
+      ser::encode([&](ser::Writer& w) { nand::save(w, image); });
+  // Block framing (kind, erase count, page count, state byte) = 18 bytes.
+  ASSERT_EQ(bytes, std::vector<std::uint8_t>(slot.begin() + 18, slot.end()));
+  ser::Reader r(bytes);
+  nand::PageImage back;
+  nand::load(r, back);
+  EXPECT_TRUE(r.ok() && r.at_end());
+  EXPECT_EQ(back, image);
+}
+
+TEST(SnapshotCodecPrimitives, OverflowingWriterStoresNothingPastTheEnd) {
+  std::vector<std::uint8_t> out(6, 0xaa);
+  ser::Writer w(std::span<std::uint8_t>(out.data(), 4));
+  w.u32(0x01020304);
+  w.u8(5);  // past the end
+  EXPECT_FALSE(w.ok());
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{4, 3, 2, 1, 0xaa, 0xaa}));
+}
+
+// ---- Loader validation --------------------------------------------------
+
+/// A flexFTL capture holding pending erases, an in-flight program, mapped
+/// pages and free blocks, with its reference parse.
+struct MutableCapture {
+  ftl::FtlConfig config = codec_config(1);
+  std::vector<std::uint8_t> bytes;
+  RefStream ref;
+
+  MutableCapture() {
+    std::unique_ptr<ftl::FtlBase> ftl = make_ftl(FtlKind::kFlex, config);
+    drive(*ftl, ftl->exported_pages() / 2, 0x1ead);
+    write_until_pending_erase(*ftl, 0x1ead);
+    bytes = Snapshot::capture(*ftl).bytes();
+    ref = ref_parse_mlc(bytes);
+  }
+
+  /// Overwrite a u32 field, re-checksum, and try to restore.
+  [[nodiscard]] bool restores_with_u32(std::size_t offset, std::uint32_t value) const {
+    EXPECT_NE(offset, 0u);
+    std::vector<std::uint8_t> mutated = bytes;
+    ser::store_le(mutated.data() + offset, value);
+    const Snapshot snapshot = rechecksum(std::move(mutated), ref.payload_begin);
+    EXPECT_FALSE(snapshot.empty()) << "trailer recomputation failed";
+    std::unique_ptr<ftl::FtlBase> target = make_ftl(FtlKind::kFlex, config);
+    return snapshot.restore(*target);
+  }
+  [[nodiscard]] bool restores_with_u8(std::size_t offset, std::uint8_t value) const {
+    EXPECT_NE(offset, 0u);
+    std::vector<std::uint8_t> mutated = bytes;
+    mutated[offset] = value;
+    const Snapshot snapshot = rechecksum(std::move(mutated), ref.payload_begin);
+    std::unique_ptr<ftl::FtlBase> target = make_ftl(FtlKind::kFlex, config);
+    return snapshot.restore(*target);
+  }
+};
+
+TEST(SnapshotLoaderValidation, UnmutatedCaptureRestores) {
+  const MutableCapture capture;
+  ASSERT_NE(capture.ref.first_mapped_address, 0u);
+  // Rewriting a field with its own value must still restore: the tests
+  // below then fail only for the value they plant.
+  EXPECT_TRUE(capture.restores_with_u32(
+      capture.ref.first_mapped_address,
+      ser::load_le<std::uint32_t>(capture.bytes.data() + capture.ref.first_mapped_address)));
+}
+
+TEST(SnapshotLoaderValidation, MappingRejectsOutOfRangeAddress) {
+  const MutableCapture capture;
+  const std::size_t at = capture.ref.first_mapped_address;
+  const nand::Geometry& g = capture.config.geometry;
+  EXPECT_FALSE(capture.restores_with_u32(at, g.num_units()));                // chip
+  EXPECT_FALSE(capture.restores_with_u32(at + 4, g.blocks_per_chip));        // block
+  EXPECT_FALSE(capture.restores_with_u32(at + 8, g.wordlines_per_block));    // word line
+  EXPECT_FALSE(capture.restores_with_u8(at + 12, 2));                        // page type
+}
+
+TEST(SnapshotLoaderValidation, BlockManagerRejectsOutOfRangeCountsAndFreeBlocks) {
+  const MutableCapture capture;
+  const std::uint32_t pages = capture.config.geometry.pages_per_block();
+  EXPECT_FALSE(capture.restores_with_u32(capture.ref.first_block_counts, pages + 1));
+  EXPECT_FALSE(capture.restores_with_u32(capture.ref.first_block_counts + 4, pages + 1));
+  ASSERT_NE(capture.ref.first_free_block, 0u);
+  EXPECT_FALSE(capture.restores_with_u32(capture.ref.first_free_block,
+                                         capture.config.geometry.blocks_per_chip));
+}
+
+TEST(SnapshotLoaderValidation, ChipRejectsOutOfRangeBlockIndices) {
+  const MutableCapture capture;
+  const std::uint32_t blocks = capture.config.geometry.blocks_per_chip;
+  ASSERT_NE(capture.ref.first_pending_block, 0u);
+  EXPECT_FALSE(capture.restores_with_u32(capture.ref.first_pending_block, blocks));
+  ASSERT_NE(capture.ref.first_last_program_block, 0u);
+  EXPECT_FALSE(capture.restores_with_u32(capture.ref.first_last_program_block, blocks));
+}
+
+}  // namespace
+}  // namespace rps::sim

@@ -163,9 +163,9 @@ TEST(TenantIsolation, NonzeroStreamsSegregateActiveBlocks) {
   const Microseconds now = ftl->device().all_idle_at();
   std::uint64_t tagged = 0;
   for (Lpn lpn = 0; lpn < space; ++lpn) {
-    const Result<nand::PageData> data = ftl->read_data(lpn, now);
+    const Result<nand::PageImage> data = ftl->read_data(lpn, now);
     if (!data.is_ok()) continue;
-    const std::uint32_t tag = nand::stream_of_spare(data.value().spare);
+    const std::uint32_t tag = nand::stream_of_spare(data.value().record.spare);
     if (tag == 0) continue;  // never written in this run
     EXPECT_EQ(tag, tenant_of_lpn(lpn, kTenants, space) + 1) << "lpn " << lpn;
     ++tagged;
