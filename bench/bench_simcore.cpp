@@ -3,8 +3,8 @@
 // Two measurements, written to BENCH_simcore.json:
 //
 //   1. Single-trial throughput: simulated page ops per wall-clock second
-//      for every FTL x engine cell (5 x 2), measured over Simulator::run
-//      only (preconditioning and warm-up excluded). Compared against the
+//      for every FTL (5 cells), measured over Simulator::run only
+//      (preconditioning and warm-up excluded). Compared against the
 //      pre-optimization baseline recorded in kBaselineKops below — the
 //      acceptance bar is "no worse than baseline" for every cell.
 //   2. Sweep scaling: wall time of a faultsim seed x density matrix at
@@ -25,11 +25,11 @@
 //   --jobs=N       parallel arm of the sweep scaling run (default 8)
 //   --out          JSON path (default BENCH_simcore.json in the CWD)
 //   --alloc-audit  skip the measurements; instead assert that a warmed
-//                  controller-engine replay performs ZERO heap
-//                  allocations across its steady-state window, for every
-//                  FTL kind (exit 1 on any allocation)
-//   --metrics=PATH write an obs::MetricsReport with one "<ftl>/<engine>"
-//                  section per throughput cell (first-replay simulation
+//                  replay performs ZERO heap allocations across its
+//                  steady-state window, for every FTL kind (exit 1 on any
+//                  allocation)
+//   --metrics=PATH write an obs::MetricsReport with one "<ftl>" section
+//                  per throughput cell (first-replay simulation
 //                  results only — no wall-clock numbers, so the file is
 //                  deterministic across hosts and --jobs values)
 #include <algorithm>
@@ -58,38 +58,27 @@ namespace {
 // Regenerate by running the pre-optimization build of this harness.
 struct BaselineEntry {
   sim::FtlKind kind;
-  sim::Engine engine;
   double kops;
 };
 constexpr BaselineEntry kBaselineKops[] = {
-    {sim::FtlKind::kPage, sim::Engine::kController, 1200.8},
-    {sim::FtlKind::kPage, sim::Engine::kLegacySync, 1681.2},
-    {sim::FtlKind::kParity, sim::Engine::kController, 995.6},
-    {sim::FtlKind::kParity, sim::Engine::kLegacySync, 1223.0},
-    {sim::FtlKind::kRtf, sim::Engine::kController, 675.1},
-    {sim::FtlKind::kRtf, sim::Engine::kLegacySync, 1160.7},
-    {sim::FtlKind::kFlex, sim::Engine::kController, 1012.5},
-    {sim::FtlKind::kFlex, sim::Engine::kLegacySync, 1143.6},
-    {sim::FtlKind::kSlc, sim::Engine::kController, 1186.7},
-    {sim::FtlKind::kSlc, sim::Engine::kLegacySync, 1702.0},
+    {sim::FtlKind::kPage, 1200.8}, {sim::FtlKind::kParity, 995.6},
+    {sim::FtlKind::kRtf, 675.1},   {sim::FtlKind::kFlex, 1012.5},
+    {sim::FtlKind::kSlc, 1186.7},
 };
 // Pre-PR wall seconds of the full-size jobs=1 sweep arm on the reference
 // container.
 constexpr double kBaselineSweepSecs = 2.115;
 
-double baseline_kops(sim::FtlKind kind, sim::Engine engine) {
+/// Every FTL kind, the related-work SLC baseline included.
+constexpr sim::FtlKind kKinds[] = {sim::FtlKind::kPage, sim::FtlKind::kParity,
+                                   sim::FtlKind::kRtf, sim::FtlKind::kFlex,
+                                   sim::FtlKind::kSlc};
+
+double baseline_kops(sim::FtlKind kind) {
   for (const BaselineEntry& e : kBaselineKops) {
-    if (e.kind == kind && e.engine == engine) return e.kops;
+    if (e.kind == kind) return e.kops;
   }
   return 0.0;
-}
-
-const char* engine_name(sim::Engine engine) {
-  switch (engine) {
-    case sim::Engine::kController: return "controller";
-    case sim::Engine::kLegacySync: return "legacy";
-  }
-  __builtin_unreachable();
 }
 
 double now_secs() {
@@ -99,8 +88,8 @@ double now_secs() {
 }
 
 /// A mid-size device: big enough that GC, striping and queueing all run
-/// in their steady-state regimes, small enough that the full 5x2 cell
-/// matrix finishes in tens of seconds. 4 x 2 chips, 64 blocks x 64
+/// in their steady-state regimes, small enough that every cell finishes in
+/// well under a second. 4 x 2 chips, 64 blocks x 64
 /// wordlines (128 MLC pages) x 4 KB = 256 MB.
 nand::Geometry simcore_geometry() {
   nand::Geometry g;
@@ -114,18 +103,15 @@ nand::Geometry simcore_geometry() {
 
 struct CellResult {
   sim::FtlKind kind = sim::FtlKind::kPage;
-  sim::Engine engine = sim::Engine::kController;
   double kops = 0.0;       // measured simulated page ops / wall sec / 1e3
   double secs = 0.0;       // wall seconds of the measured run
   std::uint64_t ops = 0;   // pages read + written in the measured run
   sim::SimResult result;   // first replay's simulation results (deterministic)
 };
 
-CellResult measure_cell(sim::FtlKind kind, sim::Engine engine,
-                        std::uint64_t requests, int reps) {
+CellResult measure_cell(sim::FtlKind kind, std::uint64_t requests, int reps) {
   sim::ExperimentSpec spec = sim::ExperimentSpec::bench_default();
   spec.ftl_config.geometry = simcore_geometry();
-  spec.sim.engine = engine;
   spec.requests = requests;
 
   // One precondition + warm-up, then `reps` timed replays of the same
@@ -146,7 +132,6 @@ CellResult measure_cell(sim::FtlKind kind, sim::Engine engine,
 
   CellResult cell;
   cell.kind = kind;
-  cell.engine = engine;
   for (int rep = 0; rep < reps; ++rep) {
     const double t0 = now_secs();
     const sim::SimResult result = simulator.run(trace);
@@ -263,9 +248,6 @@ ForkCost measure_fork_cost() {
   ForkCost cost;
   sim::ExperimentSpec spec = sim::ExperimentSpec::bench_default();
   spec.ftl_config.geometry = simcore_geometry();
-  constexpr sim::FtlKind kKinds[] = {sim::FtlKind::kPage, sim::FtlKind::kParity,
-                                     sim::FtlKind::kRtf, sim::FtlKind::kFlex,
-                                     sim::FtlKind::kSlc};
   for (const sim::FtlKind kind : kKinds) {
     std::unique_ptr<ftl::FtlBase> ftl = sim::make_ftl(kind, spec.ftl_config);
     sim::Simulator simulator(*ftl, spec.sim);
@@ -306,12 +288,12 @@ void write_json(const std::string& path, bool quick, std::uint64_t requests,
   std::fprintf(out, "    \"cells\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];
-    const double base = baseline_kops(c.kind, c.engine);
+    const double base = baseline_kops(c.kind);
     std::fprintf(out,
-                 "      {\"ftl\": \"%s\", \"engine\": \"%s\", \"kops\": %.2f, "
+                 "      {\"ftl\": \"%s\", \"kops\": %.2f, "
                  "\"secs\": %.3f, \"ops\": %llu, \"baseline_kops\": %.2f, "
                  "\"vs_baseline\": %.3f}%s\n",
-                 sim::to_string(c.kind), engine_name(c.engine), c.kops, c.secs,
+                 sim::to_string(c.kind), c.kops, c.secs,
                  static_cast<unsigned long long>(c.ops), base,
                  base > 0 ? c.kops / base : 0.0,
                  i + 1 < cells.size() ? "," : "");
@@ -356,7 +338,7 @@ void write_json(const std::string& path, bool quick, std::uint64_t requests,
 }
 
 /// --alloc-audit: the machine-checked form of the zero-allocation claim.
-/// For every FTL kind on the controller engine: precondition + warm-up,
+/// For every FTL kind: precondition + warm-up,
 /// replay the measured trace once so every arena, pool and scratch vector
 /// reaches its high-water mark, then replay it again with the
 /// operator-new interposer armed across the steady-state window
@@ -366,13 +348,10 @@ int run_alloc_audit(std::uint64_t requests) {
     std::fprintf(stderr, "alloc audit: interposer not linked into this binary\n");
     return 1;
   }
-  std::printf("alloc audit: controller engine, Varmail, %llu requests, "
+  std::printf("alloc audit: Varmail, %llu requests, "
               "third (warmed) replay\n",
               static_cast<unsigned long long>(requests));
   bool ok = true;
-  constexpr sim::FtlKind kKinds[] = {sim::FtlKind::kPage, sim::FtlKind::kParity,
-                                     sim::FtlKind::kRtf, sim::FtlKind::kFlex,
-                                     sim::FtlKind::kSlc};
   // Debug aid: RPS_ALLOC_AUDIT_FTL=<name> audits just that FTL (pairs
   // with RPS_ALLOC_AUDIT_BACKTRACE=N, which dumps offender stacks).
   const char* only = std::getenv("RPS_ALLOC_AUDIT_FTL");
@@ -380,7 +359,6 @@ int run_alloc_audit(std::uint64_t requests) {
     if (only != nullptr && std::string(only) != sim::to_string(kind)) continue;
     sim::ExperimentSpec spec = sim::ExperimentSpec::bench_default();
     spec.ftl_config.geometry = simcore_geometry();
-    spec.sim.engine = sim::Engine::kController;
     spec.requests = requests;
     std::unique_ptr<ftl::FtlBase> ftl = sim::make_ftl(kind, spec.ftl_config);
     sim::Simulator simulator(*ftl, spec.sim);
@@ -461,22 +439,15 @@ int main(int argc, char** argv) {
   std::printf("bench_simcore%s: single-trial throughput (Varmail, %llu requests)\n",
               quick ? " --quick" : "", static_cast<unsigned long long>(requests));
   std::vector<CellResult> cells;
-  constexpr sim::FtlKind kKinds[] = {sim::FtlKind::kPage, sim::FtlKind::kParity,
-                                     sim::FtlKind::kRtf, sim::FtlKind::kFlex,
-                                     sim::FtlKind::kSlc};
   for (const sim::FtlKind kind : kKinds) {
-    for (const sim::Engine engine :
-         {sim::Engine::kController, sim::Engine::kLegacySync}) {
-      cells.push_back(measure_cell(kind, engine, requests, reps));
-      const CellResult& c = cells.back();
-      const double base = baseline_kops(kind, engine);
-      std::printf("  %-9s %-10s %9.1f kops  (%.2fs, %llu ops)%s\n",
-                  sim::to_string(kind), engine_name(engine), c.kops, c.secs,
-                  static_cast<unsigned long long>(c.ops),
-                  base > 0 ? (c.kops >= base ? "  >= baseline" : "  BELOW baseline")
-                           : "");
-      std::fflush(stdout);
-    }
+    cells.push_back(measure_cell(kind, requests, reps));
+    const CellResult& c = cells.back();
+    const double base = baseline_kops(kind);
+    std::printf("  %-9s %9.1f kops  (%.2fs, %llu ops)%s\n", sim::to_string(kind),
+                c.kops, c.secs, static_cast<unsigned long long>(c.ops),
+                base > 0 ? (c.kops >= base ? "  >= baseline" : "  BELOW baseline")
+                         : "");
+    std::fflush(stdout);
   }
 
   std::printf("sweep scaling: %llu seeds x density %llu, jobs 1 vs %u\n",
@@ -505,8 +476,7 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty()) {
     obs::MetricsReport report;
     for (const CellResult& cell : cells) {
-      report.begin(std::string(sim::to_string(cell.kind)) + "/" +
-                   engine_name(cell.engine));
+      report.begin(sim::to_string(cell.kind));
       sim::add_result_metrics(report, cell.result);
       report.end();
     }

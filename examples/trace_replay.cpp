@@ -71,14 +71,16 @@ int main(int argc, char** argv) {
   TablePrinter table({"metric", "value"});
   table.add_row({"FTL", r.ftl_name});
   table.add_row({"IOPS (makespan)", TablePrinter::fmt(r.iops_makespan(), 0)});
-  table.add_row({"p50 latency (us)", TablePrinter::fmt(r.latency_us.percentile(50), 0)});
-  table.add_row({"p99 latency (us)", TablePrinter::fmt(r.latency_us.percentile(99), 0)});
+  table.add_row({"p50 latency (us)", std::to_string(r.latency_hist_us.p50())});
+  table.add_row({"p99 latency (us)", std::to_string(r.latency_hist_us.p99())});
   table.add_row({"write amplification", TablePrinter::fmt(r.waf(), 2)});
   table.add_row({"block erasures", TablePrinter::fmt_int(static_cast<std::int64_t>(r.erases))});
   table.add_row({"peak write MB/s",
-                 r.write_bw_mbps.empty()
+                 r.write_bw_kbps.empty()
                      ? "-"
-                     : TablePrinter::fmt(r.write_bw_mbps.percentile(99.5), 1)});
+                     : TablePrinter::fmt(
+                           static_cast<double>(r.write_bw_kbps.percentile(99.5)) / 1000.0,
+                           1)});
   std::printf("\n%s", table.to_string().c_str());
   return 0;
 }

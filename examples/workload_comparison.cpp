@@ -6,6 +6,7 @@
 //   $ ./workload_comparison oltp       # or: ntrx, webserver, varmail, fileserver
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "src/sim/runner.hpp"
 #include "src/util/table.hpp"
@@ -38,8 +39,8 @@ int main(int argc, char** argv) {
         static_cast<double>(r.ftl_stats.host_lsb_writes) /
         static_cast<double>(r.ftl_stats.host_lsb_writes + r.ftl_stats.host_msb_writes);
     table.add_row({r.ftl_name, TablePrinter::fmt(r.iops_makespan(), 0),
-                   TablePrinter::fmt(r.latency_us.percentile(50), 0),
-                   TablePrinter::fmt(r.latency_us.percentile(99), 0),
+                   std::to_string(r.latency_hist_us.p50()),
+                   std::to_string(r.latency_hist_us.p99()),
                    TablePrinter::fmt(r.waf(), 2),
                    TablePrinter::fmt_int(static_cast<std::int64_t>(r.erases)),
                    TablePrinter::fmt(lsb_share, 2),

@@ -138,7 +138,7 @@ void Controller::enqueue_ready(CommandId id, std::uint32_t index, Microseconds r
   }
   const Result<ftl::HostOp> op = ftl_.read(lpn, ready);
   if (!op.is_ok()) {
-    // Out-of-range LPN: surfaces as a read error, like the legacy loop.
+    // Out-of-range LPN: surfaces as a read error.
     ++slot_result_[si].read_errors;
     retire(id, index, ready, /*chip=*/0, ready, ready, /*ok=*/true);
     return;

@@ -8,7 +8,7 @@
 //       from its reproducer line. Exit 1 and print each failure's
 //       minimal one-line reproducer on stderr (first line of stderr is
 //       machine-grabbable for a CI artifact).
-//   faultsim --sweep --ftl=... --engine=... --seed=N [--points=16] [--jobs=N]
+//   faultsim --sweep --ftl=... --seed=N [--points=16] [--jobs=N]
 //       One sweep cell, verbose per-crash summary.
 //   faultsim --ftl=... --seed=N --crash-us=T [...]
 //       Replay a single reproducer line (the flags ARE the line printed
@@ -235,7 +235,8 @@ int main(int argc, char** argv) {
 
   const std::optional<FaultSimConfig> config = parse_reproducer(repro_line);
   if (!config) {
-    std::fprintf(stderr, "unrecognized flags in: %s\n", repro_line.c_str());
+    std::fprintf(stderr, "unrecognized flag or invalid value in: %s\n",
+                 repro_line.c_str());
     return 2;
   }
 

@@ -23,26 +23,12 @@ ftl::FtlConfig FaultSimConfig::small_config() {
   return c;
 }
 
-const char* to_string(sim::Engine engine) {
-  switch (engine) {
-    case sim::Engine::kController: return "controller";
-    case sim::Engine::kLegacySync: return "legacy";
-  }
-  __builtin_unreachable();
-}
-
 std::optional<sim::FtlKind> ftl_kind_from(const std::string& name) {
   for (const sim::FtlKind kind :
        {sim::FtlKind::kPage, sim::FtlKind::kParity, sim::FtlKind::kRtf,
         sim::FtlKind::kFlex, sim::FtlKind::kSlc}) {
     if (name == sim::to_string(kind)) return kind;
   }
-  return std::nullopt;
-}
-
-std::optional<sim::Engine> engine_from(const std::string& name) {
-  if (name == "controller") return sim::Engine::kController;
-  if (name == "legacy") return sim::Engine::kLegacySync;
   return std::nullopt;
 }
 
@@ -57,8 +43,8 @@ struct GenRequest {
   Microseconds arrival = 0;
 };
 
-/// The whole main-phase request stream, precomputed so both engines (and
-/// every crash point) consume the identical seeded sequence.
+/// The whole main-phase request stream, precomputed so every crash point
+/// consumes the identical seeded sequence.
 std::vector<GenRequest> generate_workload(const FaultSimConfig& config,
                                           Lpn working_set, Microseconds start) {
   Rng rng(config.seed * 0x9e3779b97f4a7c15ull + 0x632be59bd9b4e019ull);
@@ -267,7 +253,7 @@ TrialResult run_trial(const FaultSimConfig& config, obs::TraceSink* sink,
     for (const ctrl::OpRecord& rec : frontend.controller().op_log()) {
       if (rec.ok && rec.complete < crash) completes.push_back(rec.complete);
     }
-  } else if (config.engine == sim::Engine::kController) {
+  } else {
     ctrl::Controller controller(
         *ftl, ctrl::ControllerConfig{.stripe_writes = true, .keep_op_log = true});
     controller.set_observability(sink, nullptr);
@@ -297,30 +283,6 @@ TrialResult run_trial(const FaultSimConfig& config, obs::TraceSink* sink,
     oracle.finalize_from_op_log(controller.op_log());
     for (const ctrl::OpRecord& rec : controller.op_log()) {
       if (rec.ok && rec.complete < crash) completes.push_back(rec.complete);
-    }
-  } else {
-    for (const GenRequest& r : reqs) {
-      if (r.arrival >= crash) break;
-      for (std::uint32_t j = 0; j < r.pages; ++j) {
-        if (r.write) {
-          const Result<ftl::HostOp> op = ftl->write(r.lpn + j, r.arrival, r.utilization);
-          if (op.is_ok()) {
-            oracle.ack_latest(r.lpn + j, op.value().complete);
-            if (op.value().complete < crash) completes.push_back(op.value().complete);
-          }
-        } else {
-          const Result<ftl::HostOp> op = ftl->read(r.lpn + j, r.arrival);
-          if (op.is_ok() && op.value().complete < crash) {
-            completes.push_back(op.value().complete);
-          }
-        }
-      }
-      ++report.requests_issued;
-    }
-    if (crash != kTimeNever) {
-      report.crashed = true;
-      victims = ftl->device().inject_power_loss(crash);
-      report.victims = victims.size();
     }
   }
 
@@ -390,8 +352,7 @@ TrialResult run_trial(const FaultSimConfig& config, obs::TraceSink* sink,
 
 std::string reproducer(const FaultSimConfig& config) {
   std::ostringstream os;
-  os << "faultsim --ftl=" << sim::to_string(config.kind)
-     << " --engine=" << to_string(config.engine) << " --seed=" << config.seed
+  os << "faultsim --ftl=" << sim::to_string(config.kind) << " --seed=" << config.seed
      << " --requests=" << config.requests
      << " --max-pages=" << config.max_pages_per_request
      << " --ws=" << config.working_set_fraction
@@ -439,10 +400,6 @@ std::optional<FaultSimConfig> parse_reproducer(const std::string& line) {
         const auto kind = ftl_kind_from(value);
         if (!kind) return std::nullopt;
         config.kind = *kind;
-      } else if (key == "engine") {
-        const auto engine = engine_from(value);
-        if (!engine) return std::nullopt;
-        config.engine = *engine;
       } else if (key == "seed") {
         config.seed = std::stoull(value);
       } else if (key == "requests") {
@@ -481,6 +438,16 @@ std::optional<FaultSimConfig> parse_reproducer(const std::string& line) {
     } catch (...) {
       return std::nullopt;
     }
+  }
+  // Values a trial cannot run: an invalid geometry or a spare pool with no
+  // visible block left would assert in the device constructors, and a
+  // working-set fraction outside (0, 1] — NaN included, hence the negated
+  // test — would cast to a huge working set.
+  const nand::Geometry& geometry = config.ftl_config.geometry;
+  if (!geometry.valid() ||
+      config.ftl_config.bad_blocks.spare_blocks_per_unit >= geometry.blocks_per_chip ||
+      !(config.working_set_fraction > 0.0 && config.working_set_fraction <= 1.0)) {
+    return std::nullopt;
   }
   return config;
 }

@@ -1,8 +1,8 @@
 // Deterministic power-loss fault-injection harness.
 //
-// One trial = one seeded workload driven against one FTL under one
-// engine, optionally cut short by a power loss at an exact simulated
-// microsecond, then rebooted (sim::crash_reboot) and audited by the
+// One trial = one seeded workload driven through the command controller
+// against one FTL, optionally cut short by a power loss at an exact
+// simulated microsecond, then rebooted (sim::crash_reboot) and audited by the
 // shadow oracle. Everything — workload, placement, crash, recovery —
 // is a pure function of the config, so a trial replays bit-identically
 // from its one-line reproducer.
@@ -36,7 +36,6 @@ namespace rps::faultsim {
 /// CrashReports — the sweep driver verifies this for every injection.
 struct FaultSimConfig {
   sim::FtlKind kind = sim::FtlKind::kFlex;
-  sim::Engine engine = sim::Engine::kController;
   std::uint64_t seed = 1;
   std::uint64_t requests = 300;
   std::uint32_t max_pages_per_request = 4;
@@ -50,8 +49,7 @@ struct FaultSimConfig {
   /// each on its own LPN partition and write stream, arbitrated by `arb`.
   /// A power loss then lands mid-arbitration, and the audit additionally
   /// verifies the per-tenant stream tags after recovery (see
-  /// CrashReport::stream_tag_mismatches). Uses the controller engine
-  /// regardless of `engine`.
+  /// CrashReport::stream_tag_mismatches).
   std::uint32_t tenants = 1;
   ctrl::ArbPolicy arb = ctrl::ArbPolicy::kRoundRobin;
   ftl::FtlConfig ftl_config = small_config();
@@ -68,7 +66,7 @@ struct CrashReport {
   bool crashed = false;
   std::uint64_t requests_issued = 0;
   std::uint64_t victims = 0;             // in-flight programs destroyed
-  std::uint64_t cancelled_write_ops = 0;  // controller engine only
+  std::uint64_t cancelled_write_ops = 0;
   std::uint64_t cancelled_read_ops = 0;
   std::uint64_t aborted_commands = 0;
   bool recovery_supported = false;
@@ -110,9 +108,9 @@ struct TrialResult {
 /// Steady post-fill state a trial can fork from instead of re-running
 /// the fill phase: the FTL/device snapshot plus the shadow oracle's
 /// write history at the epoch mark. The fill phase is a pure function of
-/// (kind, ftl_config, working_set_fraction) — never the seed, engine,
-/// tenancy, or crash point — so ONE WarmStart serves an entire sweep
-/// matrix, and a forked trial is bit-identical to a cold one.
+/// (kind, ftl_config, working_set_fraction) — never the seed, tenancy, or
+/// crash point — so ONE WarmStart serves an entire sweep matrix, and a
+/// forked trial is bit-identical to a cold one.
 struct WarmStart {
   sim::Snapshot ftl;
   std::vector<std::uint8_t> oracle;
@@ -131,8 +129,8 @@ WarmStart make_warm_start(const FaultSimConfig& config);
 
 /// Run one trial end to end: fill phase, seeded main phase, optional
 /// crash + reboot + oracle audit. With `sink` attached, the main phase
-/// (and crash / recovery) is traced: NandOp events per chip under the
-/// controller engine, GC and parity events from the FTL, plus the
+/// (and crash / recovery) is traced: NandOp events per chip from the
+/// controller, GC and parity events from the FTL, plus the
 /// power-loss cut and the recovery phase. The fill phase is not traced.
 /// With `warm` non-null the fill phase is skipped and the trial forks
 /// from the snapshot (which must match config's kind and geometry).
@@ -144,11 +142,10 @@ TrialResult run_trial(const FaultSimConfig& config, obs::TraceSink* sink = nullp
 std::string reproducer(const FaultSimConfig& config);
 
 /// Parse a reproducer line (or any faultsim flag list). Returns nullopt
-/// on an unknown flag or malformed value.
+/// on an unknown flag, a malformed value, or a config no trial can run
+/// (invalid geometry, spares >= blocks per plane, --ws outside (0, 1]).
 std::optional<FaultSimConfig> parse_reproducer(const std::string& line);
 
-const char* to_string(sim::Engine engine);
 std::optional<sim::FtlKind> ftl_kind_from(const std::string& name);
-std::optional<sim::Engine> engine_from(const std::string& name);
 
 }  // namespace rps::faultsim

@@ -5,10 +5,10 @@
 // the per-LPN history — GC copies carry the same host-write version as
 // their source and are deduplicated, so the history is exactly the
 // sequence of host writes in program order. Acknowledgement times are
-// joined in afterwards: the legacy path acks each write at its returned
-// completion (ack_latest), the controller path joins the op log's
-// successful host-write records against the history in dispatch order
-// (finalize_from_op_log).
+// joined in afterwards: the synchronous fill phase acks each write at its
+// returned completion (ack_latest), the controller-driven main phase joins
+// the op log's successful host-write records against the history in
+// dispatch order (finalize_from_op_log).
 //
 // After a crash and reboot, check() walks every LPN and classifies it:
 //   - newest pre-crash write acknowledged (program durable at the cut):
@@ -61,8 +61,8 @@ class ShadowOracle {
   /// join starts after the records present now.
   void mark_epoch();
 
-  /// Legacy-path acknowledgement: the newest record of `lpn` became
-  /// durable at `complete`.
+  /// Synchronous-path acknowledgement (fill phase): the newest record of
+  /// `lpn` became durable at `complete`.
   void ack_latest(Lpn lpn, Microseconds complete);
 
   /// Controller-path acknowledgement: join successful host-write op

@@ -10,7 +10,7 @@
 //
 // What goes into a sample is the caller's business: the sampler stores a
 // Collector callback (built by sim::make_state_collector from an FTL and
-// an optional controller) so this layer depends on nothing above
+// its controller) so this layer depends on nothing above
 // src/util. Disabled cost is a null-pointer test at every tick site; an
 // attached sampler's off-grid tick costs one division and a compare.
 #pragma once

@@ -79,6 +79,7 @@ ExperimentSpec ExperimentSpec::bench_default() {
 
 obs::StateSampler::Collector make_state_collector(const ftl::FtlBase& ftl,
                                                   const ctrl::Controller* controller) {
+  assert(controller != nullptr);
   return [&ftl, controller](obs::StateSample& sample) {
     sample.q = ftl.observed_lsb_quota();
     sample.sbqueue = ftl.observed_slow_queue_depth();
@@ -89,12 +90,10 @@ obs::StateSampler::Collector make_state_collector(const ftl::FtlBase& ftl,
     }
     sample.free_fraction = static_cast<double>(free_blocks) /
                            static_cast<double>(geometry.total_blocks());
-    if (controller != nullptr) {
-      sample.queued_write_ops = controller->write_queue_depth();
-      sample.chip_queue.resize(controller->num_chips());
-      for (std::uint32_t chip = 0; chip < controller->num_chips(); ++chip) {
-        sample.chip_queue[chip] = controller->read_queue_depth(chip);
-      }
+    sample.queued_write_ops = controller->write_queue_depth();
+    sample.chip_queue.resize(controller->num_chips());
+    for (std::uint32_t chip = 0; chip < controller->num_chips(); ++chip) {
+      sample.chip_queue[chip] = controller->read_queue_depth(chip);
     }
     // Wear / WAF lanes (ISSUE 10). Cumulative device-lifetime values, not
     // per-run deltas: the time series shows wear accumulating and WAF
@@ -141,9 +140,7 @@ SimResult run_experiment(FtlKind kind, workload::Preset preset,
   // and warm-up noise out of the trace and the time series.
   if (sink != nullptr) simulator.set_trace_sink(sink);
   if (sampler != nullptr) {
-    sampler->set_collector(make_state_collector(
-        *ftl, spec.sim.engine == Engine::kController ? &simulator.controller()
-                                                     : nullptr));
+    sampler->set_collector(make_state_collector(*ftl, &simulator.controller()));
     // With both observers attached, every emitted sample also lands in the
     // trace as Perfetto counter tracks ("C" events).
     if (sink != nullptr) sampler->set_counter_sink(sink);

@@ -108,8 +108,9 @@ SimResult run_experiment(FtlKind kind, workload::Preset preset,
 Snapshot make_precondition_snapshot(FtlKind kind, const ExperimentSpec& spec);
 
 /// Build a StateSampler collector snapshotting `ftl` (quota, SBQueue
-/// depth, free-block fraction) and, when non-null, `controller`'s queue
-/// depths. Both borrowed: they must outlive the sampler's use.
+/// depth, free-block fraction) and `controller`'s queue depths. Both
+/// borrowed: they must outlive the sampler's use. `controller` must be
+/// non-null.
 obs::StateSampler::Collector make_state_collector(const ftl::FtlBase& ftl,
                                                   const ctrl::Controller* controller);
 

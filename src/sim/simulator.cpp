@@ -133,26 +133,39 @@ SimResult Simulator::run(const workload::Trace& trace) {
   const auto page_bytes =
       static_cast<std::uint64_t>(ftl_.config().geometry.page_size_bytes);
 
+  // A write's pages leave the buffer at `flushed`: queue the buffer release
+  // and credit the bandwidth window the flush completes in.
+  const auto record_flush = [&](Microseconds flushed, std::uint32_t pages) {
+    in_flush.emplace(flushed, pages);
+    const auto window =
+        static_cast<std::size_t>(flushed / config_.bw_window_us - window_base);
+    if (window >= bw_bytes.size()) {
+      bw_bytes.resize(window + 1, 0);
+      bw_touched.resize(window + 1, false);
+    }
+    bw_bytes[window] += page_bytes * pages;
+    bw_touched[window] = true;
+  };
+
   Microseconds busy_start = 0;
   Microseconds busy_end = -1;  // current merged busy interval; empty
   Microseconds last_completion = base;
 
-  // Batched admission (controller engine, no observability attached):
-  // consecutive writes acknowledged at the same tick submit to the
-  // controller without draining between them — one drain retires the
-  // whole batch, and the FIFO write queue preserves the serial dispatch
-  // order exactly (each member sees the chip-busy state its predecessors
-  // created at the tick, just as per-request drains would produce). Only
-  // the controller work and the pieces derived from it (in_flush entries,
-  // bandwidth windows — both need last_complete) are deferred; the
-  // closed-loop models advance inline because a batched write's
-  // completion IS its ack tick. The batch must flush before anything
-  // that could observe a member's flush time: a read, a different
-  // admission tick, an idle window, a buffer-full ack wait, the crash
-  // cut, or the end of the trace (members' flush times always exceed the
-  // batch tick, so same-tick admissions can never pop them).
-  const bool batch_admission = config_.engine == Engine::kController &&
-                               trace_ == nullptr && sampler_ == nullptr;
+  // Batched admission (no observability attached): consecutive writes
+  // acknowledged at the same tick submit to the controller without
+  // draining between them — one drain retires the whole batch, and the
+  // FIFO write queue preserves the serial dispatch order exactly (each
+  // member sees the chip-busy state its predecessors created at the
+  // tick, just as per-request drains would produce). Only the controller
+  // work and the pieces derived from it (in_flush entries, bandwidth
+  // windows — both need last_complete) are deferred; the closed-loop
+  // models advance inline because a batched write's completion IS its ack
+  // tick. The batch must flush before anything that could observe a
+  // member's flush time: a read, a different admission tick, an idle
+  // window, a buffer-full ack wait, the crash cut, or the end of the trace
+  // (members' flush times always exceed the batch tick, so same-tick
+  // admissions can never pop them).
+  const bool batch_admission = trace_ == nullptr && sampler_ == nullptr;
   auto& batch = batch_;
   auto& batch_results = batch_results_;
   batch.clear();
@@ -165,16 +178,7 @@ SimResult Simulator::run(const workload::Trace& trace) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const ctrl::CommandResult& cr = batch_results[i];
       assert(cr.ok);
-      const Microseconds flushed = std::max(batch[i].ack, cr.last_complete);
-      in_flush.emplace(flushed, batch[i].pages);
-      const auto window =
-          static_cast<std::size_t>(flushed / config_.bw_window_us - window_base);
-      if (window >= bw_bytes.size()) {
-        bw_bytes.resize(window + 1, 0);
-        bw_touched.resize(window + 1, false);
-      }
-      bw_bytes[window] += page_bytes * batch[i].pages;
-      bw_touched[window] = true;
+      record_flush(std::max(batch[i].ack, cr.last_complete), batch[i].pages);
     }
     batch.clear();
   };
@@ -183,21 +187,18 @@ SimResult Simulator::run(const workload::Trace& trace) {
   // window: from here to the end of the replay loop, a simulator whose
   // scratch is warm from a prior run of this trace allocates nothing
   // (bench_simcore --alloc-audit arms the interposer in this hook).
-  result.latency_us.reserve(trace.requests().size());
   result.latency_hist_us.reserve_max();
-  if (config_.engine == Engine::kController) {
-    // Closed loop: at most queue_depth commands are ever outstanding, so
-    // a batch can never exceed it, and the controller's in-flight
-    // structures are pre-sized from the same bound — hard caps, immune to
-    // the run-to-run concurrency drift that warm-up alone can't pin down.
-    batch.reserve(config_.queue_depth);
-    batch_results.reserve(config_.queue_depth);
-    std::uint32_t max_pages = 1;
-    for (const workload::IoRequest& req : trace.requests()) {
-      max_pages = std::max(max_pages, req.page_count);
-    }
-    controller_.reserve_inflight(config_.queue_depth, max_pages);
+  // Closed loop: at most queue_depth commands are ever outstanding, so a
+  // batch can never exceed it, and the controller's in-flight structures
+  // are pre-sized from the same bound — hard caps, immune to the
+  // run-to-run concurrency drift that warm-up alone can't pin down.
+  batch.reserve(config_.queue_depth);
+  batch_results.reserve(config_.queue_depth);
+  std::uint32_t max_pages = 1;
+  for (const workload::IoRequest& req : trace.requests()) {
+    max_pages = std::max(max_pages, req.page_count);
   }
+  controller_.reserve_inflight(config_.queue_depth, max_pages);
   if (steady_hook_) steady_hook_(true);
 
   Microseconds prev_arrival = base;       // adjusted arrival of previous request
@@ -298,80 +299,44 @@ SimResult Simulator::run(const workload::Trace& trace) {
         flush_pending_pages -= in_flush.top().second;
         in_flush.pop();
       }
-      Microseconds flushed = ack;
-      bool deferred = false;
-      if (config_.engine == Engine::kController) {
-        // Whole request to the controller: its pages become a batch of
-        // page ops striped across idle chips.
-        ctrl::HostCommand cmd;
-        cmd.kind = ctrl::CmdKind::kWrite;
-        cmd.lpn = req.lpn;
-        cmd.page_count = req.page_count;
-        cmd.issue = ack;
-        cmd.buffer_utilization = utilization;
-        if (batch_admission && req.page_count > 0) {
-          // A nonempty batch here means ack == batch_tick: the earlier
-          // flush points cleared any tick change, and the ack wait above
-          // flushed before raising ack.
-          if (batch.empty()) batch_tick = ack;
-          assert(ack == batch_tick);
-          controller_.submit(cmd);
-          batch.push_back(BatchMember{ack, req.page_count});
-          deferred = true;
-        } else {
-          flush_batch();  // zero-page corner: keep strict serial order
-          const ctrl::CommandResult cr = controller_.execute(cmd);
-          assert(cr.ok);
-          flushed = std::max(flushed, cr.last_complete);
-        }
-        result.pages_written += req.page_count;
+      // Whole request to the controller: its pages become a batch of page
+      // ops striped across idle chips.
+      ctrl::HostCommand cmd;
+      cmd.kind = ctrl::CmdKind::kWrite;
+      cmd.lpn = req.lpn;
+      cmd.page_count = req.page_count;
+      cmd.issue = ack;
+      cmd.buffer_utilization = utilization;
+      if (batch_admission && req.page_count > 0) {
+        // A nonempty batch here means ack == batch_tick: the earlier flush
+        // points cleared any tick change, and the ack wait above flushed
+        // before raising ack.
+        if (batch.empty()) batch_tick = ack;
+        assert(ack == batch_tick);
+        controller_.submit(cmd);
+        batch.push_back(BatchMember{ack, req.page_count});
       } else {
-        for (std::uint32_t j = 0; j < req.page_count; ++j) {
-          const Result<ftl::HostOp> op = ftl_.write(req.lpn + j, ack, utilization);
-          assert(op.is_ok());
-          flushed = std::max(flushed, op.value().complete);
-          ++result.pages_written;
-        }
+        flush_batch();  // zero-page corner: keep strict serial order
+        const ctrl::CommandResult cr = controller_.execute(cmd);
+        assert(cr.ok);
+        record_flush(std::max(ack, cr.last_complete), req.page_count);
       }
+      result.pages_written += req.page_count;
       flush_pending_pages += req.page_count;
-      if (!deferred) {
-        in_flush.emplace(flushed, req.page_count);
-        const auto window =
-            static_cast<std::size_t>(flushed / config_.bw_window_us - window_base);
-        if (window >= bw_bytes.size()) {
-          bw_bytes.resize(window + 1, 0);
-          bw_touched.resize(window + 1, false);
-        }
-        bw_bytes[window] += page_bytes * req.page_count;
-        bw_touched[window] = true;
-      }
       completion = ack;
     } else {
       ++result.read_requests;
-      if (config_.engine == Engine::kController) {
-        ctrl::HostCommand cmd;
-        cmd.kind = ctrl::CmdKind::kRead;
-        cmd.lpn = req.lpn;
-        cmd.page_count = req.page_count;
-        cmd.issue = issue;
-        const ctrl::CommandResult cr = controller_.execute(cmd);
-        completion = std::max(completion, cr.last_complete);
-        result.read_errors += cr.read_errors;
-        result.pages_read += req.page_count;
-      } else {
-        for (std::uint32_t j = 0; j < req.page_count; ++j) {
-          const Result<ftl::HostOp> op = ftl_.read(req.lpn + j, issue);
-          if (op.is_ok()) {
-            completion = std::max(completion, op.value().complete);
-          } else {
-            ++result.read_errors;
-          }
-          ++result.pages_read;
-        }
-      }
+      ctrl::HostCommand cmd;
+      cmd.kind = ctrl::CmdKind::kRead;
+      cmd.lpn = req.lpn;
+      cmd.page_count = req.page_count;
+      cmd.issue = issue;
+      const ctrl::CommandResult cr = controller_.execute(cmd);
+      completion = std::max(completion, cr.last_complete);
+      result.read_errors += cr.read_errors;
+      result.pages_read += req.page_count;
     }
     ++result.requests;
-    result.latency_us.add(static_cast<double>(completion - arrival));
     result.latency_hist_us.add(static_cast<std::uint64_t>(completion - arrival));
     if (trace_ != nullptr) {
       trace_->record(req.kind == workload::IoKind::kWrite
@@ -399,12 +364,7 @@ SimResult Simulator::run(const workload::Trace& trace) {
   if (busy_end >= busy_start) result.busy_us += busy_end - busy_start;
 
   if (result.crashed) {
-    if (config_.engine == Engine::kController) {
-      result.power_loss = controller_.power_loss(config_.crash_time_us);
-    } else {
-      result.power_loss.victims =
-          ftl_.device().inject_power_loss(config_.crash_time_us);
-    }
+    result.power_loss = controller_.power_loss(config_.crash_time_us);
     if (trace_ != nullptr) {
       trace_->record(obs::EventKind::kPowerLossCut, 0, config_.crash_time_us, -1,
                      result.power_loss.victims.size());
@@ -422,13 +382,10 @@ SimResult Simulator::run(const workload::Trace& trace) {
   result.attribution = counters_delta.attribution;
   result.wear = obs::collect_wear(ftl_.device());
 
-  // Windowed bandwidth samples (windows in which writes completed).
-  const double window_seconds =
-      static_cast<double>(config_.bw_window_us) / 1e6;
+  // Windowed bandwidth samples (windows in which writes completed), in
+  // integer KB/s (bytes per window over window length).
   for (std::size_t w = 0; w < bw_bytes.size(); ++w) {
     if (!bw_touched[w]) continue;
-    result.write_bw_mbps.add(static_cast<double>(bw_bytes[w]) / 1e6 / window_seconds);
-    // Same sample, integer KB/s (bytes per window over window length).
     result.write_bw_kbps.add(bw_bytes[w] * 1000 /
                              static_cast<std::uint64_t>(config_.bw_window_us));
   }

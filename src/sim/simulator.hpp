@@ -23,7 +23,6 @@
 #include "src/ftl/ftl_base.hpp"
 #include "src/obs/histogram.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/util/stats.hpp"
 #include "src/workload/trace.hpp"
 
 namespace rps::obs {
@@ -35,22 +34,11 @@ namespace rps::sim {
 
 class Snapshot;
 
-/// How the measured run executes requests against the FTL.
-enum class Engine {
-  /// Whole requests go to the command controller, which splits them into
-  /// per-page ops and stripes the pages across idle chips — one request's
-  /// pages overlap across the array (src/controller/).
-  kController,
-  /// The pre-controller path: loop a request's pages through
-  /// FtlBase::write one by one, each page placed without regard to chip
-  /// busyness.
-  kLegacySync,
-};
-
+/// The measured run hands whole requests to the command controller, which
+/// splits them into per-page ops and stripes the pages across idle chips
+/// (src/controller/). Preconditioning and warm-up use the direct
+/// synchronous FtlBase::write path (untimed, device idle).
 struct SimConfig {
-  /// Execution engine for the measured run. Preconditioning and warm-up
-  /// always use the direct synchronous path (untimed, device idle).
-  Engine engine = Engine::kController;
   /// Outstanding-request window (closed-loop issue gating).
   std::uint32_t queue_depth = 64;
   /// Gaps longer than this become FTL idle windows.
@@ -99,14 +87,10 @@ struct SimResult {
   std::uint64_t idle_windows = 0; // idle windows handed to the FTL
   Microseconds idle_time_us = 0;  // total duration of those windows
 
-  SampleSet latency_us;           // per-request completion - arrival
-  SampleSet write_bw_mbps;        // windowed write bandwidth samples
-
-  /// The same two series as log-bucketed mergeable histograms (integer
-  /// units: microseconds, and KB/s per bandwidth window). Merging the
-  /// histograms of per-shard results is order-invariant — sweep aggregates
-  /// are bit-identical for any --jobs (what SampleSet concatenation never
-  /// guaranteed its percentiles to be).
+  /// Per-request latency (completion - arrival, microseconds) and windowed
+  /// write bandwidth (integer KB/s per window, Fig. 8c) as log-bucketed
+  /// mergeable histograms. Merging the histograms of per-shard results is
+  /// order-invariant, so sweep aggregates are bit-identical for any --jobs.
   obs::LatencyHistogram latency_hist_us;
   obs::LatencyHistogram write_bw_kbps;
 

@@ -144,9 +144,12 @@ TEST(Differential, ControllerMatchesLegacyPlacementsAtQd1) {
   }
 }
 
+// gtest names each case with a byte dump of this struct. The geometry
+// leads so that the bytes a case name starts with do not depend on where
+// the linker placed the name string.
 struct SweepGeometry {
-  const char* name;
   nand::Geometry geometry;
+  const char* name;
 };
 
 class GeometrySweep : public ::testing::TestWithParam<SweepGeometry> {};
@@ -184,30 +187,30 @@ TEST_P(GeometrySweep, EveryFtlSurvivesAndStaysConsistent) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GeometrySweep,
     ::testing::Values(
-        SweepGeometry{"SingleChip",
-                      {.channels = 1, .chips_per_channel = 1, .blocks_per_chip = 24,
+        SweepGeometry{{.channels = 1, .chips_per_channel = 1, .blocks_per_chip = 24,
                        .wordlines_per_block = 8, .page_size_bytes = 512,
-                       .spare_bytes = 16}},
-        SweepGeometry{"ManySmallChips",
-                      {.channels = 4, .chips_per_channel = 4, .blocks_per_chip = 8,
+                       .spare_bytes = 16},
+                      "SingleChip"},
+        SweepGeometry{{.channels = 4, .chips_per_channel = 4, .blocks_per_chip = 8,
                        .wordlines_per_block = 4, .page_size_bytes = 512,
-                       .spare_bytes = 16}},
-        SweepGeometry{"TallBlocks",
-                      {.channels = 1, .chips_per_channel = 2, .blocks_per_chip = 10,
+                       .spare_bytes = 16},
+                      "ManySmallChips"},
+        SweepGeometry{{.channels = 1, .chips_per_channel = 2, .blocks_per_chip = 10,
                        .wordlines_per_block = 32, .page_size_bytes = 512,
-                       .spare_bytes = 16}},
-        SweepGeometry{"TwoWordlines",
-                      {.channels = 2, .chips_per_channel = 1, .blocks_per_chip = 24,
+                       .spare_bytes = 16},
+                      "TallBlocks"},
+        SweepGeometry{{.channels = 2, .chips_per_channel = 1, .blocks_per_chip = 24,
                        .wordlines_per_block = 2, .page_size_bytes = 512,
-                       .spare_bytes = 16}},
-        SweepGeometry{"TwoPlanes",
-                      {.channels = 2, .chips_per_channel = 1, .planes_per_chip = 2,
+                       .spare_bytes = 16},
+                      "TwoWordlines"},
+        SweepGeometry{{.channels = 2, .chips_per_channel = 1, .planes_per_chip = 2,
                        .blocks_per_chip = 12, .wordlines_per_block = 8,
-                       .page_size_bytes = 512, .spare_bytes = 16}},
-        SweepGeometry{"FourPlanes",
-                      {.channels = 1, .chips_per_channel = 2, .planes_per_chip = 4,
+                       .page_size_bytes = 512, .spare_bytes = 16},
+                      "TwoPlanes"},
+        SweepGeometry{{.channels = 1, .chips_per_channel = 2, .planes_per_chip = 4,
                        .blocks_per_chip = 8, .wordlines_per_block = 4,
-                       .page_size_bytes = 512, .spare_bytes = 16}}),
+                       .page_size_bytes = 512, .spare_bytes = 16},
+                      "FourPlanes"}),
     [](const auto& info) { return info.param.name; });
 
 }  // namespace

@@ -207,7 +207,6 @@ TEST(StateSampler, CollectorPopulatesSamples) {
 faultsim::FaultSimConfig traced_config() {
   faultsim::FaultSimConfig config;
   config.kind = sim::FtlKind::kFlex;
-  config.engine = sim::Engine::kController;
   config.seed = 3;
   config.requests = 200;
   return config;

@@ -178,10 +178,8 @@ void expect_same_result(const sim::SimResult& seq, const sim::SimResult& par) {
   EXPECT_EQ(seq.makespan_us, par.makespan_us);
   EXPECT_EQ(seq.busy_us, par.busy_us);
   EXPECT_EQ(seq.erases, par.erases);
-  EXPECT_EQ(seq.latency_us.size(), par.latency_us.size());
-  EXPECT_EQ(seq.latency_us.mean(), par.latency_us.mean());
-  EXPECT_EQ(seq.write_bw_mbps.size(), par.write_bw_mbps.size());
-  EXPECT_EQ(seq.write_bw_mbps.mean(), par.write_bw_mbps.mean());
+  EXPECT_EQ(seq.latency_hist_us, par.latency_hist_us);
+  EXPECT_EQ(seq.write_bw_kbps, par.write_bw_kbps);
 }
 
 sim::ExperimentSpec tiny_spec() {

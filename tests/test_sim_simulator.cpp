@@ -44,7 +44,7 @@ TEST(Simulator, RunCountsRequestsAndPages) {
   EXPECT_EQ(r.read_requests, 1u);
   EXPECT_EQ(r.pages_written, 4u);
   EXPECT_EQ(r.pages_read, 2u);
-  EXPECT_EQ(r.latency_us.size(), 3u);
+  EXPECT_EQ(r.latency_hist_us.count(), 3u);
   EXPECT_GT(r.makespan_us, 0);
 }
 
@@ -63,7 +63,7 @@ TEST(Simulator, BufferedWritesAckInstantlyWhenUnderloaded) {
   ftl::PageFtl ftl(ftl::FtlConfig::tiny());
   Simulator sim(ftl, quick_sim());
   const SimResult r = sim.run(steady_trace(32, 50, /*gap=*/100'000));
-  EXPECT_EQ(r.latency_us.max(), 0.0);
+  EXPECT_EQ(r.latency_hist_us.max(), 0u);
 }
 
 TEST(Simulator, SaturationMakesWritesWaitForBuffer) {
@@ -72,7 +72,7 @@ TEST(Simulator, SaturationMakesWritesWaitForBuffer) {
   ftl::PageFtl ftl(ftl::FtlConfig::tiny());
   Simulator sim(ftl, quick_sim());
   const SimResult r = sim.run(steady_trace(32, 2000, /*gap=*/1));
-  EXPECT_GT(r.latency_us.percentile(90), 1000.0);
+  EXPECT_GT(r.latency_hist_us.percentile(90), 1000u);
   EXPECT_GT(r.makespan_us, 2000);
 }
 
@@ -125,8 +125,8 @@ TEST(Simulator, BandwidthSamplesPresentForWriteWorkloads) {
   config.bw_window_us = 10'000;
   Simulator sim(ftl, config);
   const SimResult r = sim.run(steady_trace(32, 500, 100));
-  EXPECT_FALSE(r.write_bw_mbps.empty());
-  EXPECT_GT(r.write_bw_mbps.max(), 0.0);
+  EXPECT_FALSE(r.write_bw_kbps.empty());
+  EXPECT_GT(r.write_bw_kbps.max(), 0u);
 }
 
 TEST(Simulator, WarmUpReachesGcSteadyState) {

@@ -51,23 +51,15 @@ void expect_results_equal(const sim::SimResult& cold, const sim::SimResult& warm
 }
 
 // Satellite: run_experiment forked from make_precondition_snapshot is
-// bit-identical to the cold path, for every FTL kind and both engines.
+// bit-identical to the cold path, for every FTL kind.
 TEST(WarmStartDifferential, RunExperimentColdVsFork) {
+  const sim::ExperimentSpec spec = quick_spec();
   for (const sim::FtlKind kind : sim::kAllFtls) {
-    for (const sim::Engine engine :
-         {sim::Engine::kController, sim::Engine::kLegacySync}) {
-      sim::ExperimentSpec spec = quick_spec();
-      spec.sim.engine = engine;
-      const sim::SimResult cold =
-          run_experiment(kind, workload::Preset::kVarmail, spec);
-      const sim::Snapshot warm = sim::make_precondition_snapshot(kind, spec);
-      const sim::SimResult forked = run_experiment(
-          kind, workload::Preset::kVarmail, spec, nullptr, nullptr, &warm);
-      expect_results_equal(cold, forked,
-                           std::string(sim::to_string(kind)) + "/" +
-                               (engine == sim::Engine::kController ? "controller"
-                                                                   : "legacy"));
-    }
+    const sim::SimResult cold = run_experiment(kind, workload::Preset::kVarmail, spec);
+    const sim::Snapshot warm = sim::make_precondition_snapshot(kind, spec);
+    const sim::SimResult forked = run_experiment(
+        kind, workload::Preset::kVarmail, spec, nullptr, nullptr, &warm);
+    expect_results_equal(cold, forked, sim::to_string(kind));
   }
 }
 
