@@ -186,30 +186,6 @@ void slc(obs::MetricsReport&) {
   std::printf("the paper's argument against capacity-sacrificing LSB-only designs.\n");
 }
 
-// Program suspension. A 2 ms MSB program parked in front of a read is the
-// largest latency hazard of MLC NAND; suspension lets reads preempt it at
-// a small resume cost. flexFTL already turns most burst-path programs into
-// 500 us LSB writes, so it needs suspension the least. The controller
-// dispatches a host read only to a free chip, so today the on and off rows
-// match (ROADMAP, "Slim the core").
-void suspend(obs::MetricsReport&) {
-  std::printf("Ablation: program suspension (Webserver: light, read-dominant —\n"
-              "reads meet in-flight programs rather than standing queues)\n\n");
-  TablePrinter table({"FTL", "suspend", "IOPS", "p50 (us)", "p99 (us)", "p99.9 (us)"});
-  for (const sim::FtlKind kind :
-       {sim::FtlKind::kPage, sim::FtlKind::kParity, sim::FtlKind::kFlex}) {
-    for (const bool on : {false, true}) {
-      sim::ExperimentSpec spec = ablation_spec();
-      spec.ftl_config.program_suspend = on;
-      const sim::SimResult r = run_experiment(kind, workload::Preset::kWebserver, spec);
-      table.add_row({sim::to_string(kind), on ? "on" : "off", iops(r), lat(r, 50),
-                     lat(r, 99), lat(r, 99.9)});
-      std::fflush(stdout);
-    }
-  }
-  print_table(table);
-}
-
 // flexFTL hot/cold stream separation. Skewed workloads mix short-lived
 // host data with long-lived GC copies in the same blocks; separating the
 // streams lets cold blocks stay fully valid while hot blocks die quickly:
@@ -294,8 +270,8 @@ struct Ablation {
 
 constexpr Ablation kAblations[] = {
     {"quota", quota},         {"thresholds", thresholds}, {"rtf_pool", rtf_pool},
-    {"predictor", predictor}, {"slc", slc},               {"suspend", suspend},
-    {"hotcold", hotcold},     {"wear", wear},
+    {"predictor", predictor}, {"slc", slc},               {"hotcold", hotcold},
+    {"wear", wear},
 };
 
 }  // namespace

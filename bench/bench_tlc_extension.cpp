@@ -5,8 +5,8 @@
 // consecutive fast run instead of FPS's three-page prefix.
 #include <cstdio>
 
-#include "src/nand/tlc.hpp"
 #include "src/core/flex_tlc_ftl.hpp"
+#include "src/nand/program_order.hpp"
 #include "src/reliability/tlc_study.hpp"
 #include "src/util/stats.hpp"
 #include "src/util/table.hpp"
@@ -16,18 +16,22 @@ using namespace rps;
 namespace {
 
 /// Longest prefix of pure-LSB programs a sequence kind allows.
-std::uint32_t lsb_run_capacity(std::uint32_t wordlines, nand::TlcSequenceKind kind) {
-  nand::TlcBlockState block(wordlines);
+std::uint32_t lsb_run_capacity(std::uint32_t wordlines, nand::SequenceKind kind) {
+  nand::BlockProgramState block(wordlines, 3);
   std::uint32_t run = 0;
   for (std::uint32_t k = 0; k < wordlines; ++k) {
-    if (!nand::check_tlc_program_legality(block, {k, nand::TlcPageType::kLsb}, kind)
-             .is_ok()) {
-      break;
-    }
-    block.mark_programmed({k, nand::TlcPageType::kLsb});
+    if (!nand::check_program_legality(block, {k, nand::PageType::kLsb}, kind).is_ok()) break;
+    block.mark_programmed({k, nand::PageType::kLsb});
     ++run;
   }
   return run;
+}
+
+/// Aggressor programs after each word line's final pass.
+void add_exposure(SampleSet& set, const nand::ProgramOrder& order, std::uint32_t wordlines) {
+  for (const nand::WordlineExposure& e : nand::analyze_exposure(order, wordlines, 3)) {
+    set.add(e.aggressors_after_msb);
+  }
 }
 
 }  // namespace
@@ -47,35 +51,26 @@ int main() {
                       "consecutive LSB run"});
   {
     SampleSet fps;
-    for (const std::uint32_t e :
-         nand::analyze_tlc_exposure(nand::tlc_fps_order(kWordlines), kWordlines)) {
-      fps.add(e);
-    }
+    add_exposure(fps, nand::fps_order(kWordlines, 3), kWordlines);
     table.add_row({"TLC-FPS (shadow)", TablePrinter::fmt(fps.max(), 0),
                    TablePrinter::fmt(fps.mean(), 3),
                    TablePrinter::fmt_int(lsb_run_capacity(kWordlines,
-                                                          nand::TlcSequenceKind::kFps))});
+                                                          nand::SequenceKind::kFps))});
   }
   {
     SampleSet rps;
     for (int t = 0; t < kTrials; ++t) {
-      for (const std::uint32_t e : nand::analyze_tlc_exposure(
-               nand::random_tlc_rps_order(kWordlines, rng), kWordlines)) {
-        rps.add(e);
-      }
+      add_exposure(rps, nand::random_rps_order(kWordlines, rng, 3), kWordlines);
     }
     table.add_row({"TLC-RPS (random)", TablePrinter::fmt(rps.max(), 0),
                    TablePrinter::fmt(rps.mean(), 3),
                    TablePrinter::fmt_int(lsb_run_capacity(kWordlines,
-                                                          nand::TlcSequenceKind::kRps))});
+                                                          nand::SequenceKind::kRps))});
   }
   {
     SampleSet wild;
     for (int t = 0; t < kTrials; ++t) {
-      for (const std::uint32_t e : nand::analyze_tlc_exposure(
-               nand::random_tlc_unconstrained_order(kWordlines, rng), kWordlines)) {
-        wild.add(e);
-      }
+      add_exposure(wild, nand::random_unconstrained_order(kWordlines, rng, 3), kWordlines);
     }
     table.add_row({"TLC-Unconstrained", TablePrinter::fmt(wild.max(), 0),
                    TablePrinter::fmt(wild.mean(), 3), "-"});
@@ -106,12 +101,7 @@ int main() {
   // pressure the whole burst rides the 400 us LSB pass; the shadow-order
   // average would be (400+1100+2600)/3 = 1367 us per page.
   std::printf("flexFTL-TLC burst absorption (3PO):\n");
-  core::TlcFtlConfig ftl_config;
-  ftl_config.geometry = nand::TlcGeometry{.channels = 2,
-                                          .chips_per_channel = 2,
-                                          .blocks_per_chip = 64,
-                                          .wordlines_per_block = 32,
-                                          .page_size_bytes = 4096};
+  const core::TlcFtlConfig ftl_config;  // 2x2 chips, 64 blocks of 32 word lines
   core::FlexTlcFtl ftl(ftl_config);
   const Lpn burst = 512;
   for (Lpn lpn = 0; lpn < burst; ++lpn) {

@@ -225,7 +225,7 @@ Result<Microseconds> FlexFtl::write_msb(std::uint32_t chip, Lpn lpn,
   // FIFO: the head of the SBQueue is the active slow block (Section 3.1).
   const std::uint32_t slow = queue->front();
   nand::Block& block = device_.block_mut({chip, slow});
-  const std::optional<nand::PagePos> pos = block.next_msb();
+  const std::optional<nand::PagePos> pos = block.next_in_pass(nand::PageType::kMsb);
   assert(pos.has_value());  // invariant: SBQueue blocks have MSB space
 
   // The block's parity page must be durable before its (destructive) MSB

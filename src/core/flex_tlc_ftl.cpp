@@ -14,14 +14,15 @@ constexpr double kBgcFreeThreshold = 0.10;
 
 FlexTlcFtl::FlexTlcFtl(const TlcFtlConfig& config)
     : config_(config),
-      device_(config.geometry, config.timing, nand::TlcSequenceKind::kRps),
-      chips_(config.geometry.num_chips()),
-      rotate_(config.geometry.num_chips(), 0) {
+      device_(config.geometry, config.timing, nand::SequenceKind::kRps),
+      chips_(config.geometry.num_units()),
+      rotate_(config.geometry.num_units(), 0) {
+  assert(config.geometry.bits_per_cell == 3);
   const auto exported = static_cast<Lpn>(
       std::floor(static_cast<double>(config.geometry.total_pages()) *
                  (1.0 - config.overprovisioning)));
   mapping_.resize(exported);
-  const auto lsb_pages = static_cast<double>(config.geometry.num_chips()) *
+  const auto lsb_pages = static_cast<double>(config.geometry.num_units()) *
                          config.geometry.blocks_per_chip *
                          config.geometry.wordlines_per_block;
   initial_quota_ =
@@ -52,7 +53,7 @@ std::uint64_t FlexTlcFtl::make_signature(Lpn lpn) {
 std::uint32_t FlexTlcFtl::pick_chip() {
   // Headroom-based placement with round-robin tie-breaking (the same
   // balance rule as the MLC FtlBase; see DESIGN.md).
-  const std::uint32_t chips = device_.geometry().num_chips();
+  const std::uint32_t chips = device_.geometry().num_units();
   const std::uint64_t chip_pages =
       static_cast<std::uint64_t>(device_.geometry().blocks_per_chip) *
       device_.geometry().pages_per_block();
@@ -91,13 +92,18 @@ void FlexTlcFtl::release(std::uint32_t chip, std::uint32_t block) {
   cs.free.push_back(block);
 }
 
-void FlexTlcFtl::commit_mapping(Lpn lpn, const nand::TlcPageAddress& addr) {
-  if (const std::optional<nand::TlcPageAddress>& old = mapping_[lpn]) {
-    assert(chips_[old->chip].valid[old->block] > 0);
-    --chips_[old->chip].valid[old->block];
-  }
+void FlexTlcFtl::commit_mapping(Lpn lpn, const nand::PageAddress& addr) {
+  unmap(lpn);
   mapping_[lpn] = addr;
   ++chips_[addr.chip].valid[addr.block];
+}
+
+void FlexTlcFtl::unmap(Lpn lpn) {
+  if (const std::optional<nand::PageAddress>& old = mapping_[lpn]) {
+    assert(chips_[old->chip].valid[old->block] > 0);
+    --chips_[old->chip].valid[old->block];
+    mapping_[lpn].reset();
+  }
 }
 
 Microseconds FlexTlcFtl::flush_parity(std::uint32_t chip, std::uint32_t block,
@@ -114,8 +120,8 @@ Microseconds FlexTlcFtl::flush_parity(std::uint32_t chip, std::uint32_t block,
     if (!fresh.is_ok()) return now;  // unprotected; recovery reports losses
     cs.backup = BackupBlock{fresh.value(), 0, 0};
   }
-  const nand::TlcPageAddress dst{chip, cs.backup->block,
-                                 {cs.backup->next_lsb, nand::TlcPageType::kLsb}};
+  const nand::PageAddress dst{chip, cs.backup->block,
+                              {cs.backup->next_lsb, nand::PageType::kLsb}};
   nand::PageData parity = acc.record;
   parity.spare = static_cast<std::uint64_t>(block) | nand::kNonHostSpareFlag;
   const nand::PayloadPin payload(device_.payloads(), parity.signature, acc.bytes);
@@ -144,7 +150,7 @@ void FlexTlcFtl::drop_backup_reference(std::uint32_t chip, std::uint32_t backup_
     if (--it->live_pages == 0) {
       // The recycled backup block's erase is parity overhead too.
       const nand::CauseScope cause(device_, nand::WriteCause::kParity);
-      const Result<nand::OpTiming> erased = device_.erase(chip, backup_block, now);
+      const Result<nand::OpTiming> erased = device_.erase({chip, backup_block}, now);
       assert(erased.is_ok());
       (void)erased;
       release(chip, backup_block);
@@ -166,7 +172,7 @@ void FlexTlcFtl::invalidate_parities(std::uint32_t chip, std::uint32_t block,
   cs.csb_acc.erase(block);
 }
 
-Result<Microseconds> FlexTlcFtl::write_pass(std::uint32_t chip, nand::TlcPageType pass,
+Result<Microseconds> FlexTlcFtl::write_pass(std::uint32_t chip, nand::PageType pass,
                                             Lpn lpn, nand::PageData data,
                                             Microseconds now, bool gc) {
   ChipState& cs = chips_.at(chip);
@@ -174,7 +180,7 @@ Result<Microseconds> FlexTlcFtl::write_pass(std::uint32_t chip, nand::TlcPageTyp
 
   std::uint32_t block = 0;
   switch (pass) {
-    case nand::TlcPageType::kLsb: {
+    case nand::PageType::kLsb: {
       if (!cs.fast) {
         Result<std::uint32_t> fresh =
             allocate(chip, Use::kActive, gc ? 0 : config_.gc_reserve_blocks);
@@ -192,24 +198,24 @@ Result<Microseconds> FlexTlcFtl::write_pass(std::uint32_t chip, nand::TlcPageTyp
       block = *cs.fast;
       break;
     }
-    case nand::TlcPageType::kCsb:
+    case nand::PageType::kCsb:
       if (cs.csb_queue.empty()) return ErrorCode::kNoFreePage;
       block = cs.csb_queue.front();
       break;
-    case nand::TlcPageType::kMsb:
+    case nand::PageType::kMsb:
       if (cs.msb_queue.empty()) return ErrorCode::kNoFreePage;
       block = cs.msb_queue.front();
       break;
   }
 
-  nand::TlcBlock& device_block = device_.chip(chip).block(block);
-  const std::optional<nand::TlcPagePos> pos = device_block.next_in_pass(pass);
+  const nand::Block& device_block = device_.block({chip, block});
+  const std::optional<nand::PagePos> pos = device_block.next_in_pass(pass);
   assert(pos.has_value());
-  const nand::TlcPageAddress addr{chip, block, *pos};
+  const nand::PageAddress addr{chip, block, *pos};
 
   const std::span<const std::uint8_t> payload = device_.payloads().find(data.signature);
-  if (pass == nand::TlcPageType::kLsb) cs.lsb_acc.xor_with(data, payload);
-  if (pass == nand::TlcPageType::kCsb) {
+  if (pass == nand::PageType::kLsb) cs.lsb_acc.xor_with(data, payload);
+  if (pass == nand::PageType::kCsb) {
     auto [it, inserted] = cs.csb_acc.try_emplace(block, zeroed_parity());
     it->second.xor_with(data, payload);
   }
@@ -220,10 +226,10 @@ Result<Microseconds> FlexTlcFtl::write_pass(std::uint32_t chip, nand::TlcPageTyp
   commit_mapping(lpn, addr);
 
   switch (pass) {
-    case nand::TlcPageType::kLsb:
+    case nand::PageType::kLsb:
       --quota_;
       if (!gc) ++stats_.host_writes_by_pass[0];
-      if (device_block.programmed_in_pass(nand::TlcPageType::kLsb) >= wordlines) {
+      if (device_block.programmed_in_pass(nand::PageType::kLsb) >= wordlines) {
         // Fast phase complete: flush the LSB parity, hand to the CSB queue.
         flush_parity(chip, block, cs.lsb_acc, /*csb_pass=*/false,
                      timing.value().complete);
@@ -231,9 +237,9 @@ Result<Microseconds> FlexTlcFtl::write_pass(std::uint32_t chip, nand::TlcPageTyp
         cs.fast.reset();
       }
       break;
-    case nand::TlcPageType::kCsb:
+    case nand::PageType::kCsb:
       if (!gc) ++stats_.host_writes_by_pass[1];
-      if (device_block.programmed_in_pass(nand::TlcPageType::kCsb) >= wordlines) {
+      if (device_block.programmed_in_pass(nand::PageType::kCsb) >= wordlines) {
         const auto acc = cs.csb_acc.find(block);
         assert(acc != cs.csb_acc.end());
         flush_parity(chip, block, acc->second, /*csb_pass=*/true,
@@ -242,7 +248,7 @@ Result<Microseconds> FlexTlcFtl::write_pass(std::uint32_t chip, nand::TlcPageTyp
         cs.msb_queue.push_back(block);
       }
       break;
-    case nand::TlcPageType::kMsb:
+    case nand::PageType::kMsb:
       quota_ = std::min(quota_ + 1, initial_quota_);
       if (!gc) ++stats_.host_writes_by_pass[2];
       if (device_block.is_fully_programmed()) {
@@ -277,32 +283,32 @@ Result<Microseconds> FlexTlcFtl::write_data(Lpn lpn, const std::vector<std::uint
   // Pass selection (the MLC policy generalized to three passes).
   const bool has_c = !cs.csb_queue.empty();
   const bool has_m = !cs.msb_queue.empty();
-  nand::TlcPageType pass = nand::TlcPageType::kLsb;
+  nand::PageType pass = nand::PageType::kLsb;
   if (buffer_utilization > config_.u_high && quota_ > 0) {
-    pass = nand::TlcPageType::kLsb;
+    pass = nand::PageType::kLsb;
   } else if (buffer_utilization < config_.u_low) {
-    pass = has_m ? nand::TlcPageType::kMsb
-                 : (has_c ? nand::TlcPageType::kCsb : nand::TlcPageType::kLsb);
+    pass = has_m ? nand::PageType::kMsb
+                 : (has_c ? nand::PageType::kCsb : nand::PageType::kLsb);
   } else {
     // Rotate L -> C -> M, skipping phases with no open block.
     for (int i = 0; i < 3; ++i) {
       const std::uint8_t r = rotate_[chip]++ % 3;
       if (r == 0) break;  // LSB always available (allocates)
       if (r == 1 && has_c) {
-        pass = nand::TlcPageType::kCsb;
+        pass = nand::PageType::kCsb;
         break;
       }
       if (r == 2 && has_m) {
-        pass = nand::TlcPageType::kMsb;
+        pass = nand::PageType::kMsb;
         break;
       }
     }
   }
   // Block-pool feedback: don't burn the last free blocks on LSB when
   // mid/slow capacity is banked in the queues.
-  if (pass == nand::TlcPageType::kLsb && !cs.fast &&
+  if (pass == nand::PageType::kLsb && !cs.fast &&
       cs.free.size() <= config_.gc_reserve_blocks + 1 && (has_c || has_m)) {
-    pass = has_m ? nand::TlcPageType::kMsb : nand::TlcPageType::kCsb;
+    pass = has_m ? nand::PageType::kMsb : nand::PageType::kCsb;
   }
   // Attribution: the pass program is host work; nested scopes re-tag any
   // parity flush or foreground GC it triggers.
@@ -317,7 +323,7 @@ Result<Microseconds> FlexTlcFtl::write_data(Lpn lpn, const std::vector<std::uint
 Result<nand::PageImage> FlexTlcFtl::read_data(Lpn lpn, Microseconds now) {
   if (lpn >= mapping_.size()) return ErrorCode::kOutOfRange;
   if (!mapping_[lpn]) return ErrorCode::kNotFound;
-  Result<nand::TlcDevice::ReadResult> got = device_.read(*mapping_[lpn], now);
+  Result<nand::NandDevice::ReadResult> got = device_.read(*mapping_[lpn], now);
   assert(got.is_ok());
   if (!got.value().data.is_ok()) return got.value().data.code();
   return device_.payloads().image(got.value().data.value());
@@ -328,12 +334,12 @@ Result<Microseconds> FlexTlcFtl::program_gc_copy(std::uint32_t chip, Lpn lpn,
                                                  Microseconds now) {
   ChipState& cs = chips_.at(chip);
   if (!cs.msb_queue.empty()) {
-    return write_pass(chip, nand::TlcPageType::kMsb, lpn, std::move(data), now, true);
+    return write_pass(chip, nand::PageType::kMsb, lpn, std::move(data), now, true);
   }
   if (!cs.csb_queue.empty()) {
-    return write_pass(chip, nand::TlcPageType::kCsb, lpn, std::move(data), now, true);
+    return write_pass(chip, nand::PageType::kCsb, lpn, std::move(data), now, true);
   }
-  return write_pass(chip, nand::TlcPageType::kLsb, lpn, std::move(data), now, true);
+  return write_pass(chip, nand::PageType::kLsb, lpn, std::move(data), now, true);
 }
 
 std::optional<std::uint32_t> FlexTlcFtl::pick_victim(std::uint32_t chip) const {
@@ -356,19 +362,19 @@ bool FlexTlcFtl::collect_block(std::uint32_t chip, std::uint32_t victim,
   // Attribution: relocation reads/copies and the victim erase are GC work
   // regardless of which path (host pressure or idle) requested them.
   const nand::CauseScope cause(device_, nand::WriteCause::kGcCopy);
-  nand::TlcBlock& block = device_.chip(chip).block(victim);
+  const nand::Block& block = device_.block({chip, victim});
   for (std::uint32_t wl = 0; wl < block.wordlines(); ++wl) {
-    for (const nand::TlcPageType pass :
-         {nand::TlcPageType::kLsb, nand::TlcPageType::kCsb, nand::TlcPageType::kMsb}) {
-      const nand::TlcPagePos pos{wl, pass};
+    for (const nand::PageType pass :
+         {nand::PageType::kLsb, nand::PageType::kCsb, nand::PageType::kMsb}) {
+      const nand::PagePos pos{wl, pass};
       if (block.page_state(pos) != nand::PageState::kValid) continue;
-      const nand::TlcPageAddress addr{chip, victim, pos};
+      const nand::PageAddress addr{chip, victim, pos};
       const Lpn lpn = block.read(pos).value().lpn;
       if (lpn >= mapping_.size() || !mapping_[lpn] || !(*mapping_[lpn] == addr)) {
         continue;
       }
       if (device_.chip(chip).busy_until() >= deadline) return false;
-      Result<nand::TlcDevice::ReadResult> got = device_.read(addr, now);
+      Result<nand::NandDevice::ReadResult> got = device_.read(addr, now);
       assert(got.is_ok());
       if (!got.value().data.is_ok()) continue;
       Result<Microseconds> copied =
@@ -379,7 +385,7 @@ bool FlexTlcFtl::collect_block(std::uint32_t chip, std::uint32_t victim,
     }
   }
   if (chips_[chip].valid[victim] != 0) return false;
-  const Result<nand::OpTiming> erased = device_.erase(chip, victim, now);
+  const Result<nand::OpTiming> erased = device_.erase({chip, victim}, now);
   assert(erased.is_ok());
   (void)erased;
   release(chip, victim);
@@ -423,7 +429,7 @@ void FlexTlcFtl::on_idle(Microseconds now, Microseconds deadline) {
   }
 }
 
-std::optional<Lpn> FlexTlcFtl::find_lpn_of(const nand::TlcPageAddress& addr) const {
+std::optional<Lpn> FlexTlcFtl::find_lpn_of(const nand::PageAddress& addr) const {
   for (Lpn lpn = 0; lpn < mapping_.size(); ++lpn) {
     if (mapping_[lpn] && *mapping_[lpn] == addr) return lpn;
   }
@@ -431,18 +437,31 @@ std::optional<Lpn> FlexTlcFtl::find_lpn_of(const nand::TlcPageAddress& addr) con
 }
 
 TlcRecoveryReport FlexTlcFtl::recover_from_power_loss(
-    const std::vector<nand::TlcDevice::PowerLossVictim>& victims, Microseconds now) {
+    const std::vector<nand::PowerLossVictim>& victims, Microseconds now) {
   TlcRecoveryReport report;
   // Attribution: reboot-time parity checks and rewrites are recovery
   // metadata work, not host traffic.
   const nand::CauseScope cause(device_, nand::WriteCause::kMeta);
 
+  // The cut voided every erase charged past it, so a free block may still
+  // hold media. Its pages are stale (a block is freed only once nothing
+  // maps into it), and programs validate against erased state: erase it
+  // before a rewrite below can allocate it.
+  for (std::uint32_t chip = 0; chip < chips_.size(); ++chip) {
+    for (std::uint32_t b = 0; b < chips_[chip].use.size(); ++b) {
+      if (chips_[chip].use[b] != Use::kFree || device_.block({chip, b}).is_erased()) {
+        continue;
+      }
+      const Result<nand::OpTiming> erased = device_.erase({chip, b}, now);
+      assert(erased.is_ok());
+      (void)erased;
+    }
+  }
+
   // Interrupted, unacknowledged writes roll back.
-  for (const nand::TlcDevice::PowerLossVictim& victim : victims) {
-    const nand::TlcPageAddress addr{victim.chip, victim.block, victim.pos};
-    if (const std::optional<Lpn> lpn = find_lpn_of(addr)) {
-      --chips_[addr.chip].valid[addr.block];
-      mapping_[*lpn].reset();
+  for (const nand::PowerLossVictim& victim : victims) {
+    if (const std::optional<Lpn> lpn = find_lpn_of({victim.chip, victim.block, victim.pos})) {
+      unmap(*lpn);
       ++report.interrupted_writes_discarded;
     }
   }
@@ -453,15 +472,14 @@ TlcRecoveryReport FlexTlcFtl::recover_from_power_loss(
 
     // A pass in flight can only have damaged blocks in the CSB/MSB queues.
     // Check each queued block's lower passes against their parity pages.
-    auto recover_pass = [&](std::uint32_t blk, nand::TlcPageType pass,
-                            std::unordered_map<std::uint32_t, nand::TlcPageAddress>&
-                                parity_map,
+    auto recover_pass = [&](std::uint32_t blk, nand::PageType pass,
+                            std::unordered_map<std::uint32_t, nand::PageAddress>& parity_map,
                             std::uint32_t pages_in_pass) {
       nand::PageImage recomputed = zeroed_parity();
-      std::optional<nand::TlcPagePos> lost;
+      std::optional<nand::PagePos> lost;
       for (std::uint32_t wl = 0; wl < pages_in_pass; ++wl) {
-        const nand::TlcPageAddress addr{chip, blk, {wl, pass}};
-        Result<nand::TlcDevice::ReadResult> got = device_.read(addr, now);
+        const nand::PageAddress addr{chip, blk, {wl, pass}};
+        Result<nand::NandDevice::ReadResult> got = device_.read(addr, now);
         assert(got.is_ok());
         ++report.pages_read;
         if (got.value().data.is_ok()) {
@@ -472,17 +490,16 @@ TlcRecoveryReport FlexTlcFtl::recover_from_power_loss(
         }
       }
       if (!lost) return;
-      const nand::TlcPageAddress lost_addr{chip, blk, *lost};
+      const nand::PageAddress lost_addr{chip, blk, *lost};
       const auto parity_it = parity_map.find(blk);
       if (parity_it == parity_map.end()) {
         if (const std::optional<Lpn> lpn = find_lpn_of(lost_addr)) {
-          --cs.valid[blk];
-          mapping_[*lpn].reset();
+          unmap(*lpn);
           ++report.pages_lost;
         }
         return;
       }
-      Result<nand::TlcDevice::ReadResult> saved = device_.read(parity_it->second, now);
+      Result<nand::NandDevice::ReadResult> saved = device_.read(parity_it->second, now);
       assert(saved.is_ok());
       ++report.parity_pages_read;
       if (!saved.value().data.is_ok()) return;  // parity itself interrupted
@@ -498,8 +515,7 @@ TlcRecoveryReport FlexTlcFtl::recover_from_power_loss(
       if (program_gc_copy(chip, lpn, recovered.record, now).is_ok()) {
         ++report.pages_recovered;
       } else {
-        --cs.valid[blk];
-        mapping_[lpn].reset();
+        unmap(lpn);
         ++report.pages_lost;
       }
     };
@@ -508,45 +524,53 @@ TlcRecoveryReport FlexTlcFtl::recover_from_power_loss(
                                                 cs.csb_queue.end());
     for (const std::uint32_t blk : csb_blocks) {
       ++report.blocks_checked;
-      recover_pass(blk, nand::TlcPageType::kLsb, cs.lsb_parity, wordlines);
+      recover_pass(blk, nand::PageType::kLsb, cs.lsb_parity, wordlines);
     }
     const std::vector<std::uint32_t> msb_blocks(cs.msb_queue.begin(),
                                                 cs.msb_queue.end());
     for (const std::uint32_t blk : msb_blocks) {
       ++report.blocks_checked;
-      recover_pass(blk, nand::TlcPageType::kLsb, cs.lsb_parity, wordlines);
-      recover_pass(blk, nand::TlcPageType::kCsb, cs.csb_parity, wordlines);
+      recover_pass(blk, nand::PageType::kLsb, cs.lsb_parity, wordlines);
+      recover_pass(blk, nand::PageType::kCsb, cs.csb_parity, wordlines);
     }
 
     // Rebuild the in-RAM accumulators of the open passes.
-    if (cs.fast) {
+    auto rebuild = [&](std::uint32_t blk, nand::PageType pass) {
       nand::PageImage acc = zeroed_parity();
-      const nand::TlcBlock& block = device_.chip(chip).block(*cs.fast);
-      for (std::uint32_t wl = 0;
-           wl < block.programmed_in_pass(nand::TlcPageType::kLsb); ++wl) {
-        const Result<nand::TlcDevice::ReadResult> got =
-            device_.read({chip, *cs.fast, {wl, nand::TlcPageType::kLsb}}, now);
+      const std::uint32_t written = device_.block({chip, blk}).programmed_in_pass(pass);
+      for (std::uint32_t wl = 0; wl < written; ++wl) {
+        const Result<nand::NandDevice::ReadResult> got =
+            device_.read({chip, blk, {wl, pass}}, now);
         ++report.pages_read;
         if (!got.value().data.is_ok()) continue;
         const nand::PageData& page = got.value().data.value();
         acc.xor_with(page, device_.payloads().find(page.signature));
       }
-      cs.lsb_acc = std::move(acc);
-    }
+      return acc;
+    };
+    if (cs.fast) cs.lsb_acc = rebuild(*cs.fast, nand::PageType::kLsb);
     if (!cs.csb_queue.empty()) {
-      const std::uint32_t head = cs.csb_queue.front();
-      nand::PageImage acc = zeroed_parity();
-      const nand::TlcBlock& block = device_.chip(chip).block(head);
-      for (std::uint32_t wl = 0;
-           wl < block.programmed_in_pass(nand::TlcPageType::kCsb); ++wl) {
-        const Result<nand::TlcDevice::ReadResult> got =
-            device_.read({chip, head, {wl, nand::TlcPageType::kCsb}}, now);
-        ++report.pages_read;
-        if (!got.value().data.is_ok()) continue;
-        const nand::PageData& page = got.value().data.value();
-        acc.xor_with(page, device_.payloads().find(page.signature));
+      cs.csb_acc[cs.csb_queue.front()] = rebuild(cs.csb_queue.front(), nand::PageType::kCsb);
+    }
+  }
+
+  // A victim also destroyed the lower passes of its word line. The parity
+  // check above restored those of blocks still in a phase queue, but a
+  // final MSB program leaves its block full, with its parity dropped, the
+  // moment it is issued. Any such page still mapped is lost.
+  const std::uint32_t bits = device_.geometry().bits_per_cell;
+  for (const nand::PowerLossVictim& victim : victims) {
+    for (std::uint32_t p = 0; p < nand::pass_of(victim.pos.type, bits); ++p) {
+      const nand::PageAddress addr{victim.chip, victim.block,
+                                   {victim.pos.wordline, nand::type_of_pass(p, bits)}};
+      if (device_.block({addr.chip, addr.block}).page_state(addr.pos) ==
+          nand::PageState::kValid) {
+        continue;
       }
-      cs.csb_acc[head] = std::move(acc);
+      if (const std::optional<Lpn> lpn = find_lpn_of(addr)) {
+        unmap(*lpn);
+        ++report.pages_lost;
+      }
     }
   }
   return report;
@@ -571,18 +595,42 @@ bool FlexTlcFtl::check_consistency() const {
 
 namespace {
 
-void save_tlc_address(ser::Writer& w, const nand::TlcPageAddress& addr) {
+void save_address(ser::Writer& w, const nand::PageAddress& addr) {
   w.u32(addr.chip);
   w.u32(addr.block);
   w.u32(addr.pos.wordline);
   w.u8(static_cast<std::uint8_t>(addr.pos.type));
 }
 
-void load_tlc_address(ser::Reader& r, nand::TlcPageAddress& addr) {
+/// Reads a page address; fails the reader unless it names a page of `g`.
+nand::PageAddress load_address(ser::Reader& r, const nand::Geometry& g) {
+  nand::PageAddress addr;
   addr.chip = r.u32();
   addr.block = r.u32();
   addr.pos.wordline = r.u32();
-  addr.pos.type = static_cast<nand::TlcPageType>(r.u8());
+  const std::uint8_t type = r.u8();
+  addr.pos.type = static_cast<nand::PageType>(type);
+  if (addr.chip >= g.num_units() || addr.block >= g.blocks_per_chip ||
+      addr.pos.wordline >= g.wordlines_per_block ||
+      type > static_cast<std::uint8_t>(nand::PageType::kCsb)) {
+    r.fail();
+  }
+  return addr;
+}
+
+/// Reads a block index; fails the reader when it is out of range.
+std::uint32_t load_block(ser::Reader& r, std::uint32_t blocks) {
+  const std::uint32_t block = r.u32();
+  if (block >= blocks) r.fail();
+  return block;
+}
+
+/// Reads a count of entries of at least 4 bytes each; fails the reader
+/// when the stream cannot hold them.
+std::uint64_t load_count(ser::Reader& r) {
+  const std::uint64_t n = r.u64();
+  if (n > r.remaining() / 4) r.fail();
+  return r.ok() ? n : 0;
 }
 
 }  // namespace
@@ -590,9 +638,9 @@ void load_tlc_address(ser::Reader& r, nand::TlcPageAddress& addr) {
 void FlexTlcFtl::save_state(ser::Writer& w) const {
   device_.save(w);
   w.u64(mapping_.size());
-  for (const std::optional<nand::TlcPageAddress>& entry : mapping_) {
+  for (const std::optional<nand::PageAddress>& entry : mapping_) {
     w.boolean(entry.has_value());
-    if (entry) save_tlc_address(w, *entry);
+    if (entry) save_address(w, *entry);
   }
   w.u64(chips_.size());
   for (const ChipState& chip : chips_) {
@@ -622,14 +670,14 @@ void FlexTlcFtl::save_state(ser::Writer& w) const {
       nand::save(w, chip.csb_acc.at(block));
     }
     for (const auto* parity : {&chip.lsb_parity, &chip.csb_parity}) {
-      std::vector<std::pair<std::uint32_t, nand::TlcPageAddress>> entries(
-          parity->begin(), parity->end());
+      std::vector<std::pair<std::uint32_t, nand::PageAddress>> entries(parity->begin(),
+                                                                      parity->end());
       std::sort(entries.begin(), entries.end(),
                 [](const auto& a, const auto& b) { return a.first < b.first; });
       w.u64(entries.size());
       for (const auto& [block, addr] : entries) {
         w.u32(block);
-        save_tlc_address(w, addr);
+        save_address(w, addr);
       }
     }
     w.boolean(chip.backup.has_value());
@@ -659,49 +707,46 @@ void FlexTlcFtl::save_state(ser::Writer& w) const {
 }
 
 void FlexTlcFtl::load_state(ser::Reader& r) {
+  // Every block index, page address and count restored here later indexes
+  // an array (allocation, GC, parity flushes, recovery): out-of-range
+  // values fail the reader even when the stream's checksum holds.
+  const nand::Geometry& g = device_.geometry();
+  const std::uint32_t blocks = g.blocks_per_chip;
+  const std::uint32_t wordlines = g.wordlines_per_block;
   device_.load(r);
   if (r.u64() != mapping_.size()) {
     r.fail();
     return;
   }
-  for (std::optional<nand::TlcPageAddress>& entry : mapping_) {
-    if (r.boolean()) {
-      nand::TlcPageAddress addr;
-      load_tlc_address(r, addr);
-      entry = addr;
-    } else {
-      entry.reset();
-    }
+  for (std::optional<nand::PageAddress>& entry : mapping_) {
+    entry.reset();
+    if (r.boolean()) entry = load_address(r, g);
+    if (!r.ok()) return;
   }
   if (r.u64() != chips_.size()) {
     r.fail();
     return;
   }
+  auto load_blocks = [&](std::deque<std::uint32_t>& out) {
+    out.clear();
+    const std::uint64_t n = load_count(r);
+    for (std::uint64_t i = 0; i < n && r.ok(); ++i) out.push_back(load_block(r, blocks));
+  };
+  auto load_backup = [&](std::uint32_t max_next) {
+    BackupBlock b;
+    b.block = load_block(r, blocks);
+    b.next_lsb = r.u32();
+    b.live_pages = r.u32();
+    if (b.next_lsb > max_next) r.fail();
+    return b;
+  };
   for (ChipState& chip : chips_) {
-    chip.free.clear();
-    const std::uint64_t free = r.u64();
-    if (free > r.remaining()) {
-      r.fail();
-      return;
-    }
-    for (std::uint64_t i = 0; i < free; ++i) chip.free.push_back(r.u32());
+    load_blocks(chip.free);
     const bool has_fast = r.boolean();
-    const std::uint32_t fast = r.u32();
+    const std::uint32_t fast = has_fast ? load_block(r, blocks) : r.u32();
     chip.fast = has_fast ? std::optional<std::uint32_t>(fast) : std::nullopt;
-    chip.csb_queue.clear();
-    const std::uint64_t csb = r.u64();
-    if (csb > r.remaining()) {
-      r.fail();
-      return;
-    }
-    for (std::uint64_t i = 0; i < csb; ++i) chip.csb_queue.push_back(r.u32());
-    chip.msb_queue.clear();
-    const std::uint64_t msb = r.u64();
-    if (msb > r.remaining()) {
-      r.fail();
-      return;
-    }
-    for (std::uint64_t i = 0; i < msb; ++i) chip.msb_queue.push_back(r.u32());
+    load_blocks(chip.csb_queue);
+    load_blocks(chip.msb_queue);
     if (r.u64() != chip.use.size()) {
       r.fail();
       return;
@@ -714,66 +759,44 @@ void FlexTlcFtl::load_state(ser::Reader& r) {
       }
       u = static_cast<Use>(raw);
     }
-    if (r.u64() != chip.valid.size()) {
-      r.fail();
-      return;
+    for (std::vector<std::uint32_t>* counts : {&chip.valid, &chip.written}) {
+      if (r.u64() != counts->size()) {
+        r.fail();
+        return;
+      }
+      for (std::uint32_t& v : *counts) {
+        v = r.u32();
+        if (v > g.pages_per_block()) r.fail();
+      }
     }
-    for (std::uint32_t& v : chip.valid) v = r.u32();
-    if (r.u64() != chip.written.size()) {
-      r.fail();
-      return;
-    }
-    for (std::uint32_t& v : chip.written) v = r.u32();
     nand::load(r, chip.lsb_acc);
     chip.csb_acc.clear();
-    const std::uint64_t accs = r.u64();
-    if (accs > r.remaining()) {
-      r.fail();
-      return;
-    }
-    for (std::uint64_t i = 0; i < accs; ++i) {
-      const std::uint32_t block = r.u32();
+    const std::uint64_t accs = load_count(r);
+    for (std::uint64_t i = 0; i < accs && r.ok(); ++i) {
+      const std::uint32_t block = load_block(r, blocks);
       nand::PageImage acc;
       nand::load(r, acc);
       chip.csb_acc.emplace(block, std::move(acc));
     }
     for (auto* parity : {&chip.lsb_parity, &chip.csb_parity}) {
       parity->clear();
-      const std::uint64_t entries = r.u64();
-      if (entries > r.remaining()) {
-        r.fail();
-        return;
-      }
+      const std::uint64_t entries = load_count(r);
       parity->reserve(static_cast<std::size_t>(entries));
-      for (std::uint64_t i = 0; i < entries; ++i) {
-        const std::uint32_t block = r.u32();
-        nand::TlcPageAddress addr;
-        load_tlc_address(r, addr);
-        parity->emplace(block, addr);
+      for (std::uint64_t i = 0; i < entries && r.ok(); ++i) {
+        const std::uint32_t block = load_block(r, blocks);
+        parity->emplace(block, load_address(r, g));
       }
     }
     chip.backup.reset();
-    if (r.boolean()) {
-      BackupBlock b;
-      b.block = r.u32();
-      b.next_lsb = r.u32();
-      b.live_pages = r.u32();
-      chip.backup = b;
-    }
+    // The active backup block is retired on reaching its last word line.
+    if (r.boolean()) chip.backup = load_backup(wordlines - 1);
     chip.retiring.clear();
-    const std::uint64_t retiring = r.u64();
-    if (retiring > r.remaining()) {
-      r.fail();
-      return;
-    }
+    const std::uint64_t retiring = load_count(r);
     chip.retiring.reserve(static_cast<std::size_t>(retiring));
-    for (std::uint64_t i = 0; i < retiring; ++i) {
-      BackupBlock b;
-      b.block = r.u32();
-      b.next_lsb = r.u32();
-      b.live_pages = r.u32();
-      chip.retiring.push_back(b);
+    for (std::uint64_t i = 0; i < retiring && r.ok(); ++i) {
+      chip.retiring.push_back(load_backup(wordlines));
     }
+    if (!r.ok()) return;
   }
   stats_.host_write_pages = r.u64();
   for (std::uint64_t& n : stats_.host_writes_by_pass) n = r.u64();

@@ -15,6 +15,11 @@
 // pages' charge). The LSB parity is flushed when the fast phase completes,
 // the CSB parity when the mid phase completes; both go to LSB-only backup
 // blocks, which the relaxed TLC sequence makes legal.
+//
+// The FTL runs on the shared NAND device model (nand::NandDevice with
+// bits_per_cell = 3), so TLC media get the MLC model's power-loss rules:
+// a program charged past a cut is a victim and an erase charged past it is
+// voided.
 #pragma once
 
 #include <array>
@@ -25,7 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/nand/tlc_device.hpp"
+#include "src/nand/device.hpp"
 #include "src/util/result.hpp"
 #include "src/util/types.hpp"
 
@@ -37,8 +42,16 @@ class Reader;
 namespace rps::core {
 
 struct TlcFtlConfig {
-  nand::TlcGeometry geometry;
-  nand::TlcTimingSpec timing = nand::TlcTimingSpec::nominal();
+  /// A TLC geometry (bits_per_cell = 3); the constructor checks it.
+  nand::Geometry geometry{.channels = 2,
+                          .chips_per_channel = 2,
+                          .planes_per_chip = 1,
+                          .blocks_per_chip = 64,
+                          .wordlines_per_block = 32,
+                          .page_size_bytes = 4096,
+                          .spare_bytes = 128,
+                          .bits_per_cell = 3};
+  nand::TimingSpec timing = nand::TimingSpec::tlc();
   double overprovisioning = 0.30;
   std::uint32_t gc_reserve_blocks = 2;
   double u_high = 0.80;
@@ -47,11 +60,10 @@ struct TlcFtlConfig {
 
   static TlcFtlConfig tiny() {
     TlcFtlConfig c;
-    c.geometry = nand::TlcGeometry{.channels = 1,
-                                   .chips_per_channel = 2,
-                                   .blocks_per_chip = 24,
-                                   .wordlines_per_block = 8,
-                                   .page_size_bytes = 512};
+    c.geometry.channels = 1;
+    c.geometry.blocks_per_chip = 24;
+    c.geometry.wordlines_per_block = 8;
+    c.geometry.page_size_bytes = 512;
     c.gc_reserve_blocks = 1;
     c.initial_quota_fraction = 0.5;
     return c;
@@ -83,8 +95,8 @@ class FlexTlcFtl {
   [[nodiscard]] Lpn exported_pages() const {
     return static_cast<Lpn>(mapping_.size());
   }
-  [[nodiscard]] nand::TlcDevice& device() { return device_; }
-  [[nodiscard]] const nand::TlcDevice& device() const { return device_; }
+  [[nodiscard]] nand::NandDevice& device() { return device_; }
+  [[nodiscard]] const nand::NandDevice& device() const { return device_; }
   [[nodiscard]] const TlcFtlStats& stats() const { return stats_; }
   [[nodiscard]] std::int64_t quota() const { return quota_; }
   [[nodiscard]] const TlcFtlConfig& config() const { return config_; }
@@ -100,9 +112,11 @@ class FlexTlcFtl {
   /// capacity) while the free pool is below 10%.
   void on_idle(Microseconds now, Microseconds deadline);
 
-  /// Post-power-loss recovery using the two per-block parity pages.
+  /// Post-power-loss recovery using the two per-block parity pages. Every
+  /// acknowledged page a victim destroyed is either restored or counted in
+  /// pages_lost.
   TlcRecoveryReport recover_from_power_loss(
-      const std::vector<nand::TlcDevice::PowerLossVictim>& victims, Microseconds now);
+      const std::vector<nand::PowerLossVictim>& victims, Microseconds now);
 
   /// Phase-queue depths (observability).
   [[nodiscard]] std::size_t csb_queue_depth(std::uint32_t chip) const {
@@ -114,8 +128,9 @@ class FlexTlcFtl {
 
   [[nodiscard]] bool check_consistency() const;
 
-  /// Serializes the complete FTL + TLC device state; loading into a
+  /// Serializes the complete FTL + device state; loading into a
   /// same-config instance restores it bit-identically (sim::Snapshot).
+  /// load_state rejects (r.fail()) block and page indices out of range.
   void save_state(ser::Writer& w) const;
   void load_state(ser::Reader& r);
 
@@ -140,8 +155,8 @@ class FlexTlcFtl {
     nand::PageImage lsb_acc;
     std::unordered_map<std::uint32_t, nand::PageImage> csb_acc;
     /// block -> saved parity page addresses (LSB-pass, CSB-pass).
-    std::unordered_map<std::uint32_t, nand::TlcPageAddress> lsb_parity;
-    std::unordered_map<std::uint32_t, nand::TlcPageAddress> csb_parity;
+    std::unordered_map<std::uint32_t, nand::PageAddress> lsb_parity;
+    std::unordered_map<std::uint32_t, nand::PageAddress> csb_parity;
     std::optional<BackupBlock> backup;
     std::vector<BackupBlock> retiring;
   };
@@ -152,9 +167,10 @@ class FlexTlcFtl {
 
   Result<std::uint32_t> allocate(std::uint32_t chip, Use use, std::uint32_t reserve);
   void release(std::uint32_t chip, std::uint32_t block);
-  void commit_mapping(Lpn lpn, const nand::TlcPageAddress& addr);
+  void commit_mapping(Lpn lpn, const nand::PageAddress& addr);
+  void unmap(Lpn lpn);
 
-  Result<Microseconds> write_pass(std::uint32_t chip, nand::TlcPageType pass, Lpn lpn,
+  Result<Microseconds> write_pass(std::uint32_t chip, nand::PageType pass, Lpn lpn,
                                   nand::PageData data, Microseconds now, bool gc);
   Microseconds flush_parity(std::uint32_t chip, std::uint32_t block,
                             const nand::PageImage& acc, bool csb_pass, Microseconds now);
@@ -169,11 +185,11 @@ class FlexTlcFtl {
                      Microseconds deadline);
   Status ensure_free_block(std::uint32_t chip, Microseconds now);
 
-  [[nodiscard]] std::optional<Lpn> find_lpn_of(const nand::TlcPageAddress& addr) const;
+  [[nodiscard]] std::optional<Lpn> find_lpn_of(const nand::PageAddress& addr) const;
 
   TlcFtlConfig config_;
-  nand::TlcDevice device_;
-  std::vector<std::optional<nand::TlcPageAddress>> mapping_;
+  nand::NandDevice device_;
+  std::vector<std::optional<nand::PageAddress>> mapping_;
   std::vector<ChipState> chips_;
   TlcFtlStats stats_;
   std::int64_t quota_;

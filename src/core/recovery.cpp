@@ -209,7 +209,7 @@ RecoveryReport FlexFtl::recover_from_power_loss(
       ++report.fast_blocks_checked;
       const nand::Block& block = device_.block({chip, *fast});
       nand::PageImage acc = zeroed_parity();
-      for (std::uint32_t wl = 0; wl < block.programmed_lsb_pages(); ++wl) {
+      for (std::uint32_t wl = 0; wl < block.programmed_in_pass(nand::PageType::kLsb); ++wl) {
         const nand::PageAddress addr{chip, *fast, {wl, nand::PageType::kLsb}};
         Result<nand::NandDevice::ReadResult> got = device_.read(addr, now);
         ++report.lsb_pages_read;

@@ -67,11 +67,6 @@ struct FtlConfig {
   /// (cold) data is migrated so the block re-enters circulation. 0 = off.
   std::uint64_t wear_level_threshold = 0;
 
-  /// Program suspension: reads preempt in-flight programs (read-latency
-  /// QoS against 2 ms MSB programs). Off by default, as in the paper's
-  /// evaluation hardware.
-  bool program_suspend = false;
-
   /// Read-disturb scrubbing: during idle time, refresh (relocate + erase)
   /// any full block whose reads-since-erase exceed this count. 0 = off.
   std::uint64_t read_scrub_threshold = 0;

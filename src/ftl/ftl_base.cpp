@@ -28,7 +28,7 @@ FtlBase::FtlBase(const FtlConfig& config, nand::SequenceKind kind)
       mapping_(compute_exported_pages(config)),
       blocks_(config.geometry.num_units(), device_.visible_blocks(),
               config.geometry.pages_per_block()) {
-  device_.set_program_suspend(config.program_suspend);
+  assert(config.geometry.bits_per_cell == 2);  // the MLC FTLs; TLC is FlexTlcFtl
   device_.set_cache_program(config.cache_program);
   // Factory-bad visible blocks the device could not remap are dead on
   // arrival: drop them from the pools before any allocation happens.

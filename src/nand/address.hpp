@@ -1,8 +1,13 @@
-// Page addressing for the MLC NAND model.
+// Page addressing for the NAND model.
 //
 // A physical page is identified word-line-centrically: (chip, block,
-// word line, LSB|MSB). This makes the paper's program-order constraints —
+// word line, page type). This makes the program-order constraints —
 // which are all phrased over word lines and page types — direct to express.
+//
+// A word line of a b-bit cell holds b pages, written in b passes: the LSB
+// page first, the MSB page last, and on TLC (b = 3) the CSB page between
+// them. The page type names a page; its pass index (pass_of) depends on
+// the cell's bit count.
 #pragma once
 
 #include <cstdint>
@@ -13,15 +18,35 @@
 
 namespace rps::nand {
 
-/// Which bit of the 2-bit MLC cell a page maps to.
-enum class PageType : std::uint8_t { kLsb = 0, kMsb = 1 };
+/// Which bit of the cell a page maps to. kCsb exists on TLC only; it
+/// follows kMsb so MLC page types keep their 0/1 encoding.
+enum class PageType : std::uint8_t { kLsb = 0, kMsb = 1, kCsb = 2 };
 
 constexpr const char* to_string(PageType type) {
-  return type == PageType::kLsb ? "LSB" : "MSB";
+  switch (type) {
+    case PageType::kLsb: return "LSB";
+    case PageType::kMsb: return "MSB";
+    case PageType::kCsb: return "CSB";
+  }
+  return "?";
 }
 
-constexpr PageType paired_type(PageType type) {
-  return type == PageType::kLsb ? PageType::kMsb : PageType::kLsb;
+/// Pass index of `type` on a `bits`-bit cell: LSB is pass 0, MSB pass
+/// bits - 1, CSB pass 1. A type the cell lacks (CSB on MLC) maps to
+/// `bits`, one past the last pass.
+constexpr std::uint32_t pass_of(PageType type, std::uint32_t bits) {
+  switch (type) {
+    case PageType::kLsb: return 0;
+    case PageType::kMsb: return bits - 1;
+    case PageType::kCsb: return bits == 3 ? 1 : bits;
+  }
+  return bits;
+}
+
+/// The page type written by pass `pass` (< bits) of a `bits`-bit cell.
+constexpr PageType type_of_pass(std::uint32_t pass, std::uint32_t bits) {
+  if (pass == 0) return PageType::kLsb;
+  return pass + 1 == bits ? PageType::kMsb : PageType::kCsb;
 }
 
 /// Position of a page within a block.
@@ -29,13 +54,14 @@ struct PagePos {
   std::uint32_t wordline = 0;
   PageType type = PageType::kLsb;
 
-  /// Flat index within the block: LSB(k) -> 2k, MSB(k) -> 2k+1.
-  /// (A storage index, unrelated to any program order.)
-  [[nodiscard]] constexpr std::uint32_t flat_index() const {
-    return wordline * 2 + (type == PageType::kMsb ? 1u : 0u);
+  /// Flat index within a block of `bits`-bit cells: word line k's pages
+  /// occupy bits*k .. bits*k + bits - 1 in pass order (MLC: LSB(k) -> 2k,
+  /// MSB(k) -> 2k+1). A storage index, unrelated to any program order.
+  [[nodiscard]] constexpr std::uint32_t flat_index(std::uint32_t bits = 2) const {
+    return wordline * bits + pass_of(type, bits);
   }
-  static constexpr PagePos from_flat(std::uint32_t index) {
-    return PagePos{index / 2, (index % 2) ? PageType::kMsb : PageType::kLsb};
+  static constexpr PagePos from_flat(std::uint32_t index, std::uint32_t bits = 2) {
+    return PagePos{index / bits, type_of_pass(index % bits, bits)};
   }
 
   [[nodiscard]] std::string to_string() const {

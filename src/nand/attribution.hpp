@@ -124,7 +124,7 @@ void load(ser::Reader& r, AttributionCounters& c);
 
 /// The device-owned attribution state every chip of the device charges
 /// into: the currently active cause plus the accumulated counters. Owned
-/// by NandDevice / TlcDevice; chips hold a borrowed pointer (null for
+/// by NandDevice; chips hold a borrowed pointer (null for
 /// standalone chips in unit tests — their ops are simply unattributed).
 struct DeviceAttribution {
   WriteCause cause = WriteCause::kHost;
@@ -153,7 +153,7 @@ struct DeviceAttribution {
 };
 
 /// RAII cause bracket over anything exposing
-/// `WriteCause set_write_cause(WriteCause)` (NandDevice, TlcDevice).
+/// `WriteCause set_write_cause(WriteCause)` (NandDevice).
 /// Nests correctly: the previous cause is restored on scope exit, so a
 /// parity flush fired from inside a host write re-exposes kHost after.
 template <typename DeviceT>

@@ -6,8 +6,12 @@
 
 namespace rps::nand {
 
-Block::Block(std::uint32_t wordlines, SequenceKind kind, PayloadTable* payloads)
-    : kind_(kind), program_state_(wordlines), slots_(wordlines * 2), payloads_(payloads) {}
+Block::Block(std::uint32_t wordlines, SequenceKind kind, std::uint32_t bits,
+             PayloadTable* payloads)
+    : kind_(kind),
+      program_state_(wordlines, bits),
+      slots_(wordlines * bits),
+      payloads_(payloads) {}
 
 void Block::erase() {
   if (payloads_ != nullptr) payloads_->release_valid(slots_);
@@ -15,7 +19,7 @@ void Block::erase() {
   program_state_.reset();
   programmed_pages_ = 0;
   corrupted_pages_ = 0;
-  programmed_lsb_ = 0;
+  pass_counts_ = {};
   reads_since_erase_ = 0;
   slc_mode_ = false;
   ++erase_count_;
@@ -64,27 +68,27 @@ void Block::load(ser::Reader& r) {
   program_state_.reset();
   programmed_pages_ = 0;
   corrupted_pages_ = 0;
-  programmed_lsb_ = 0;
+  pass_counts_ = {};
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].state == PageState::kErased) continue;
-    const PagePos pos = PagePos::from_flat(i);
-    if (pos.type == PageType::kMsb && slots_[i - 1].state == PageState::kErased) {
-      // An MSB page over an erased LSB page: not a state a device can
-      // reach, and mark_programmed asserts on it.
+    const PagePos pos = PagePos::from_flat(i, bits());
+    if (pos.type != PageType::kLsb && slots_[i - 1].state == PageState::kErased) {
+      // A later pass over an erased earlier one: not a state a device
+      // can reach, and mark_programmed asserts on it.
       r.fail();
       return;
     }
     program_state_.mark_programmed(pos);
     ++programmed_pages_;
     if (slots_[i].state == PageState::kCorrupted) ++corrupted_pages_;
-    if (pos.type == PageType::kLsb) ++programmed_lsb_;
+    ++pass_counts_[pass_of(pos.type, bits())];
   }
 }
 
-std::optional<PagePos> Block::next_msb() const {
-  const std::uint32_t programmed_msb = programmed_msb_pages();
-  if (programmed_msb >= wordlines()) return std::nullopt;
-  const PagePos candidate{programmed_msb, PageType::kMsb};
+std::optional<PagePos> Block::next_in_pass(PageType type) const {
+  const std::uint32_t frontier = programmed_in_pass(type);
+  if (frontier >= wordlines()) return std::nullopt;
+  const PagePos candidate{frontier, type};
   if (!can_program(candidate).is_ok()) return std::nullopt;
   return candidate;
 }

@@ -1,4 +1,4 @@
-// One MLC NAND block: word-line program state, stored page contents, wear.
+// One NAND block: word-line program state, stored page contents, wear.
 //
 // The block enforces the active program-sequence policy on every program;
 // an FTL physically cannot violate the device's constraint set. Page
@@ -8,6 +8,7 @@
 // referenced as pages come and go.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -28,18 +29,23 @@ namespace rps::nand {
 
 class Block {
  public:
-  /// `payloads` is the owning device's payload table (null for a
-  /// standalone block, which then carries no payload bytes).
-  Block(std::uint32_t wordlines, SequenceKind kind, PayloadTable* payloads = nullptr);
+  /// A block of `wordlines` word lines of `bits`-bit cells. `payloads`
+  /// is the owning device's payload table (null for a standalone block,
+  /// which then carries no payload bytes).
+  Block(std::uint32_t wordlines, SequenceKind kind, std::uint32_t bits = 2,
+        PayloadTable* payloads = nullptr);
 
   [[nodiscard]] std::uint32_t wordlines() const { return program_state_.wordlines(); }
-  [[nodiscard]] std::uint32_t num_pages() const { return wordlines() * 2; }
+  [[nodiscard]] std::uint32_t bits() const { return program_state_.bits(); }
+  [[nodiscard]] std::uint32_t num_pages() const { return wordlines() * bits(); }
   [[nodiscard]] SequenceKind sequence_kind() const { return kind_; }
+  /// True iff `pos` names a page of this block.
+  [[nodiscard]] bool contains(PagePos pos) const { return program_state_.contains(pos); }
 
   /// Legality of programming `pos` next, without performing it.
   [[nodiscard]] Status can_program(PagePos pos) const {
     if (slc_mode_) {
-      if (pos.type == PageType::kMsb) return Status{ErrorCode::kSequenceViolation};
+      if (pos.type != PageType::kLsb) return Status{ErrorCode::kSequenceViolation};
       // LSB pages only, ascending (constraint 1); no cross-type constraints.
       return check_program_legality(program_state_, pos, SequenceKind::kRps);
     }
@@ -65,7 +71,7 @@ class Block {
   /// Read a page: kNotProgrammed for erased pages, kEccUncorrectable for
   /// pages destroyed by a power loss.
   [[nodiscard]] Result<PageData> read(PagePos pos) const {
-    if (pos.wordline >= wordlines()) return ErrorCode::kOutOfRange;
+    if (!contains(pos)) return ErrorCode::kOutOfRange;
     ++reads_since_erase_;
     const PageSlot& s = slot(pos);
     switch (s.state) {
@@ -83,7 +89,7 @@ class Block {
   /// block. For hot paths (GC validity tests, mapping rebuild, oracle
   /// audits) that only inspect the record.
   [[nodiscard]] const PageData* peek(PagePos pos) const {
-    if (pos.wordline >= wordlines()) return nullptr;
+    if (!contains(pos)) return nullptr;
     ++reads_since_erase_;
     const PageSlot& s = slot(pos);
     return s.state == PageState::kValid ? &s.record : nullptr;
@@ -91,9 +97,6 @@ class Block {
 
   /// Raw page state (for FTL bookkeeping and tests).
   [[nodiscard]] PageState page_state(PagePos pos) const { return slot(pos).state; }
-  [[nodiscard]] WordlineState wordline_state(std::uint32_t wl) const {
-    return program_state_.state(wl);
-  }
   [[nodiscard]] bool is_programmed(PagePos pos) const {
     return program_state_.is_programmed(pos);
   }
@@ -102,7 +105,7 @@ class Block {
   void erase();
 
   /// Put the (erased) block into SLC mode: only its LSB pages are used, in
-  /// ascending word-line order, each at LSB program speed; MSB programs are
+  /// ascending word-line order, each at LSB program speed; later passes are
   /// rejected. Real MLC parts expose this per-block mode, and FPS-based
   /// FTLs use it for backup blocks, where MLC ordering constraints would
   /// otherwise forbid consecutive fast writes. Returns kNotErased if the
@@ -119,42 +122,45 @@ class Block {
   /// scrubbing policies act on (every sensing pass stresses the block).
   [[nodiscard]] std::uint64_t reads_since_erase() const { return reads_since_erase_; }
   [[nodiscard]] std::uint32_t programmed_pages() const { return programmed_pages_; }
-  [[nodiscard]] std::uint32_t programmed_lsb_pages() const { return programmed_lsb_; }
-  [[nodiscard]] std::uint32_t programmed_msb_pages() const {
-    return programmed_pages_ - programmed_lsb_;
+  /// Pages of type `type` programmed so far (its pass's frontier).
+  [[nodiscard]] std::uint32_t programmed_in_pass(PageType type) const {
+    return pass_counts_[pass_of(type, bits())];
   }
   [[nodiscard]] bool is_fully_programmed() const {
     return programmed_pages_ == num_pages();
   }
   [[nodiscard]] bool is_erased() const { return programmed_pages_ == 0; }
 
-  /// Next legal LSB / MSB page in ascending word-line order, if any.
-  /// Under RPS these are the two program frontiers flexFTL consumes.
+  /// Next LSB page in ascending word-line order, if any. C1 forces
+  /// ascending LSB order, so the frontier is the count of LSB-programmed
+  /// word lines (under FPS it may still wait on C4).
   [[nodiscard]] std::optional<PagePos> next_lsb() const {
-    // C1 forces ascending LSB order, so the frontier is the count of
-    // LSB-programmed word lines.
-    if (programmed_lsb_ >= wordlines()) return std::nullopt;
-    return PagePos{programmed_lsb_, PageType::kLsb};
+    if (pass_counts_[0] >= wordlines()) return std::nullopt;
+    return PagePos{pass_counts_[0], PageType::kLsb};
   }
-  [[nodiscard]] std::optional<PagePos> next_msb() const;
+  /// Next legal page of type `type` in ascending word-line order, if any.
+  /// Under RPS these are the per-pass frontiers flexFTL consumes.
+  [[nodiscard]] std::optional<PagePos> next_in_pass(PageType type) const;
 
   /// Snapshot support: serialize / restore the full mutable state (page
   /// slots, program state, wear, read-disturb exposure, SLC mode) — the
   /// page slots in one pass (save_pages / load_pages). The target block
-  /// must have the same shape (wordlines, sequence kind).
+  /// must have the same shape (wordlines, bits, sequence kind).
   void save(ser::Writer& w) const;
   void load(ser::Reader& r);
 
  private:
-  [[nodiscard]] const PageSlot& slot(PagePos pos) const { return slots_[pos.flat_index()]; }
-  [[nodiscard]] PageSlot& slot(PagePos pos) { return slots_[pos.flat_index()]; }
+  [[nodiscard]] const PageSlot& slot(PagePos pos) const {
+    return slots_[pos.flat_index(bits())];
+  }
+  [[nodiscard]] PageSlot& slot(PagePos pos) { return slots_[pos.flat_index(bits())]; }
 
   void store_programmed(PagePos pos, const PageData& data) {
     program_state_.mark_programmed(pos);
     slot(pos) = PageSlot{data, PageState::kValid};
     if (payloads_ != nullptr) payloads_->retain_existing(data.signature);
     ++programmed_pages_;
-    if (pos.type == PageType::kLsb) ++programmed_lsb_;
+    ++pass_counts_[pass_of(pos.type, bits())];
   }
 
   SequenceKind kind_;
@@ -165,7 +171,7 @@ class Block {
   mutable std::uint64_t reads_since_erase_ = 0;
   std::uint32_t programmed_pages_ = 0;   // valid + corrupted
   std::uint32_t corrupted_pages_ = 0;
-  std::uint32_t programmed_lsb_ = 0;
+  std::array<std::uint32_t, 3> pass_counts_{};  // programmed pages per pass
   bool slc_mode_ = false;
 };
 

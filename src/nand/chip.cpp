@@ -7,10 +7,12 @@
 namespace rps::nand {
 
 Chip::Chip(std::uint32_t blocks, std::uint32_t wordlines, SequenceKind kind,
-           const TimingSpec& timing, PayloadTable* payloads)
+           const TimingSpec& timing, std::uint32_t bits, PayloadTable* payloads)
     : timing_(timing) {
   blocks_.reserve(blocks);
-  for (std::uint32_t b = 0; b < blocks; ++b) blocks_.emplace_back(wordlines, kind, payloads);
+  for (std::uint32_t b = 0; b < blocks; ++b) {
+    blocks_.emplace_back(wordlines, kind, bits, payloads);
+  }
   wear_.resize(blocks);  // preallocated up front: the ledger never grows
 }
 
@@ -133,10 +135,11 @@ std::optional<Chip::InFlightProgram> Chip::apply_power_loss(Microseconds t) {
   Block& block = blocks_[in_flight.block];
   // The interrupted program itself never completed.
   block.corrupt(in_flight.pos);
-  if (in_flight.pos.type == PageType::kMsb) {
-    // Destructive MSB programming: the paired LSB page's Vth states were
-    // mid-rearrangement, so its previously valid data is lost (Section 1).
-    block.corrupt({in_flight.pos.wordline, PageType::kLsb});
+  // Destructive multi-pass programming: the lower pages' Vth states were
+  // mid-rearrangement, so their previously valid data is lost (Section 1).
+  const std::uint32_t bits = block.bits();
+  for (std::uint32_t p = 0; p < pass_of(in_flight.pos.type, bits); ++p) {
+    block.corrupt({in_flight.pos.wordline, type_of_pass(p, bits)});
   }
   return in_flight;
 }
@@ -160,7 +163,6 @@ void Chip::save(ser::Writer& w) const {
     w.u8(static_cast<std::uint8_t>(last_program_->pos.type));
     w.i64(last_program_->start);
     w.i64(last_program_->complete);
-    w.u32(last_program_->suspends);
   }
   w.u64(pending_erases_.size());
   for (const PendingErase& pe : pending_erases_) {
@@ -169,7 +171,6 @@ void Chip::save(ser::Writer& w) const {
     w.u8(static_cast<std::uint8_t>(pe.cause));
     w.i64(pe.prev_last_erase);
   }
-  w.boolean(program_suspend_);
   for (const BlockWear& wear : wear_) rps::nand::save(w, wear);
 }
 
@@ -196,13 +197,12 @@ void Chip::load(ser::Reader& r) {
     const std::uint8_t type = r.u8();
     p.start = r.i64();
     p.complete = r.i64();
-    p.suspends = r.u32();
-    if (p.block >= blocks_.size() || p.pos.wordline >= blocks_[p.block].wordlines() ||
-        type > static_cast<std::uint8_t>(PageType::kMsb)) {
+    p.pos.type = static_cast<PageType>(type);
+    if (p.block >= blocks_.size() || type > static_cast<std::uint8_t>(PageType::kCsb) ||
+        !blocks_[p.block].contains(p.pos)) {
       r.fail();
       return;
     }
-    p.pos.type = static_cast<PageType>(type);
     last_program_ = p;
   }
   pending_erases_.clear();
@@ -225,7 +225,6 @@ void Chip::load(ser::Reader& r) {
     pe.cause = static_cast<WriteCause>(cause);
     pending_erases_.push_back(pe);
   }
-  program_suspend_ = r.boolean();
   for (BlockWear& wear : wear_) rps::nand::load(r, wear);
 }
 

@@ -4,7 +4,7 @@
 // issued at time T starts at max(T, busy_until) and occupies the chip for
 // its latency; the channel bus is modeled one level up, in NandDevice.
 // The in-flight operation is tracked so a power loss can be resolved to
-// the exact page being programmed (destructive MSB programming).
+// the exact page being programmed (destructive multi-pass programming).
 #pragma once
 
 #include <algorithm>
@@ -54,17 +54,11 @@ struct OpTiming {
 
 class Chip {
  public:
+  /// `blocks` blocks of `wordlines` word lines of `bits`-bit cells.
   /// `payloads` is the owning device's payload table, shared by every
   /// block (null for a standalone chip: no payload bytes).
   Chip(std::uint32_t blocks, std::uint32_t wordlines, SequenceKind kind,
-       const TimingSpec& timing, PayloadTable* payloads = nullptr);
-
-  /// Enable program suspension: a read arriving while a program occupies
-  /// the chip preempts it (up to max_suspends_per_program times), paying
-  /// suspend_resume_us and stretching the program accordingly. Real MLC
-  /// controllers use this to protect read latency from 2 ms MSB programs.
-  void set_program_suspend(bool enabled) { program_suspend_ = enabled; }
-  [[nodiscard]] bool program_suspend() const { return program_suspend_; }
+       const TimingSpec& timing, std::uint32_t bits = 2, PayloadTable* payloads = nullptr);
 
   [[nodiscard]] std::uint32_t num_blocks() const { return static_cast<std::uint32_t>(blocks_.size()); }
   [[nodiscard]] const Block& block(std::uint32_t b) const {
@@ -96,34 +90,21 @@ class Chip {
     return commit_program(b, pos, data, now);
   }
 
-  /// Read a page. Timing advances even for ECC-uncorrectable reads (the
-  /// sensing happened); the data result is reported separately.
+  /// Read a page. It queues behind whatever occupies the chip. Timing
+  /// advances even for ECC-uncorrectable reads (the sensing happened);
+  /// the data result is reported separately.
   struct ReadOutcome {
     OpTiming timing;
     Result<PageData> data = ErrorCode::kNotProgrammed;
   };
   Result<ReadOutcome> read(std::uint32_t b, PagePos pos, Microseconds now) {
     if (b >= blocks_.size()) return ErrorCode::kOutOfRange;
-    if (pos.wordline >= blocks_[b].wordlines()) return ErrorCode::kOutOfRange;
+    if (!blocks_[b].contains(pos)) return ErrorCode::kOutOfRange;
     settle_erases(now);
     materialize_erase(b);
     ++counters_.reads;
     ReadOutcome outcome;
     outcome.data = blocks_[b].read(pos);
-    // Program suspension: jump the queue past an in-flight program. The
-    // read runs immediately; the program (and the chip) is pushed back by
-    // the read plus the suspend/resume overhead.
-    if (program_suspend_ && last_program_ && last_program_->start <= now &&
-        now < last_program_->complete &&
-        last_program_->suspends < timing_.max_suspends_per_program) {
-      ++last_program_->suspends;
-      const Microseconds stretch = timing_.read_us + timing_.suspend_resume_us;
-      last_program_->complete += stretch;
-      busy_until_ += stretch;
-      busy_total_ += timing_.read_us;
-      outcome.timing = OpTiming{now, now + timing_.read_us};
-      return outcome;
-    }
     const Microseconds start = occupy(now, timing_.read_us);
     outcome.timing = OpTiming{start, busy_until_};
     return outcome;
@@ -165,15 +146,15 @@ class Chip {
     PagePos pos;
     Microseconds start = 0;
     Microseconds complete = 0;
-    std::uint32_t suspends = 0;
   };
   [[nodiscard]] std::optional<InFlightProgram> program_in_flight_at(Microseconds t) const;
 
   /// Power loss at time `t`: the chip stops dead. The last program is a
   /// victim if it had not completed by `t` — mid-flight, or queued to start
   /// after `t` (a synchronous GC/backup sequence charged ahead of the cut).
-  /// Its page is corrupted; an interrupted MSB program also destroys the
-  /// paired LSB page's stored data. The chip timeline is capped at `t`
+  /// Its page is corrupted, and so is every lower pass of its word line:
+  /// a later pass re-places the charge the earlier ones stored (an MSB
+  /// cut on MLC destroys the LSB page). The chip timeline is capped at `t`
   /// (after a reboot the chip is immediately available). Returns the
   /// victim, if any.
   std::optional<InFlightProgram> apply_power_loss(Microseconds t);
@@ -209,10 +190,7 @@ class Chip {
   /// program_resolved() once legality is established.
   OpTiming commit_program(std::uint32_t b, PagePos pos, const PageData& data,
                           Microseconds now) {
-    const Microseconds latency = pos.type == PageType::kLsb
-                                     ? timing_.program_lsb_us
-                                     : timing_.program_msb_us;
-    const Microseconds start = occupy(now, latency);
+    const Microseconds start = occupy(now, timing_.program_us(pos.type));
     const std::uint64_t spare = data.spare;
     blocks_[b].program_prechecked(pos, data);
     if (pos.type == PageType::kLsb) {
@@ -257,7 +235,6 @@ class Chip {
   DeviceAttribution* attr_ = nullptr;  // borrowed; null = unattributed
   std::optional<InFlightProgram> last_program_;
   std::vector<PendingErase> pending_erases_;
-  bool program_suspend_ = false;
 };
 
 }  // namespace rps::nand

@@ -20,14 +20,10 @@ NandDevice::NandDevice(const Geometry& geometry, const TimingSpec& timing,
   chips_.reserve(geometry.num_units());
   for (std::uint32_t u = 0; u < geometry.num_units(); ++u) {
     chips_.push_back(std::make_unique<Chip>(geometry.blocks_per_chip,
-                                            geometry.wordlines_per_block, kind,
-                                            timing, &payloads_));
+                                            geometry.wordlines_per_block, kind, timing,
+                                            geometry.bits_per_cell, &payloads_));
     chips_.back()->attach_attribution(&attribution_);
   }
-}
-
-void NandDevice::set_program_suspend(bool enabled) {
-  for (auto& chip : chips_) chip->set_program_suspend(enabled);
 }
 
 std::optional<std::uint32_t> NandDevice::grow_bad(std::uint32_t unit,

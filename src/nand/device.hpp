@@ -6,6 +6,11 @@
 // inter-channel parallelism the paper's parityFTL baseline exploits and
 // bounds the aggregate peak bandwidth realistically.
 //
+// Cell types. One device model serves MLC and TLC parts: the geometry's
+// bits_per_cell sets the passes per word line, the program-order rule
+// (program_order.hpp) and the power-loss rule are written over that
+// count, and TimingSpec carries a latency per pass.
+//
 // Planes. The device instantiates one Chip object per *unit* — a (die,
 // plane) pair, Geometry::num_units() of them — so every plane has its own
 // cell timeline while all planes of a die share the die's channel. The
@@ -85,9 +90,6 @@ class NandDevice {
   [[nodiscard]] std::uint32_t num_units() const {
     return static_cast<std::uint32_t>(chips_.size());
   }
-
-  /// Enable program suspension on every chip (see Chip::set_program_suspend).
-  void set_program_suspend(bool enabled);
 
   /// Cache-program pipelining: when on (the default, matching the original
   /// model) a program's data transfer only waits for the channel bus, so
@@ -192,9 +194,11 @@ class NandDevice {
 
   /// Inject a power loss at time `t`. Every chip whose last program had not
   /// completed by `t` (in flight, or charged to start after the cut) has
-  /// that program's page corrupted; an interrupted MSB program also
-  /// destroys its paired LSB page. Chip and channel timelines are capped at
-  /// `t` — the device stops dead and is immediately available at reboot.
+  /// that program's page corrupted, with every lower pass of its word line
+  /// (an interrupted MSB program destroys its paired LSB page). Erases
+  /// charged to start after `t` are voided. Chip and channel timelines are
+  /// capped at `t` — the device stops dead and is immediately available at
+  /// reboot.
   /// Returns all interrupted programs (a cut through a multi-plane group
   /// yields one victim per member unit).
   std::vector<PowerLossVictim> inject_power_loss(Microseconds t);
@@ -245,7 +249,8 @@ class NandDevice {
   [[nodiscard]] bool in_range(const PageAddress& addr) const {
     return addr.chip < geometry_.num_units() &&
            addr.block < bad_blocks_.visible_blocks() &&
-           addr.pos.wordline < geometry_.wordlines_per_block;
+           addr.pos.wordline < geometry_.wordlines_per_block &&
+           pass_of(addr.pos.type, geometry_.bits_per_cell) < geometry_.bits_per_cell;
   }
 
   Microseconds occupy_channel(std::uint32_t channel, Microseconds now) {
@@ -271,7 +276,7 @@ class NandDevice {
     // Program-failure injection, restricted to the first page of a fresh
     // block and to units with a spare left: remapping there is loss-free
     // (no earlier page of the block holds data, and the spare is blank).
-    if (bad_blocks_.enabled() && addr.pos.flat_index() == 0 &&
+    if (bad_blocks_.enabled() && addr.pos.flat_index(geometry_.bits_per_cell) == 0 &&
         bad_blocks_.has_spare(unit) &&
         bad_blocks_.draw_program_failure(unit, physical,
                                          chips_[unit]->block(physical).erase_count())) {

@@ -1,9 +1,11 @@
-// Physical organization of the simulated MLC NAND storage system.
+// Physical organization of the simulated NAND storage system.
 //
 // The paper's testbed (BlueDBM, 16 GB slice) is 8 channels x 4 chips per
 // channel, 512 blocks per chip, 256 pages (128 word lines) per block,
 // 4 KB pages. `Geometry::paper()` reproduces that; tests and examples use
-// smaller instances.
+// smaller instances. `bits_per_cell` selects the cell type: 2 (MLC, the
+// paper's device) or 3 (TLC, the projection of the paper's Section 1);
+// a word line holds one page per bit.
 //
 // Planes. A chip (die) is subdivided into `planes_per_chip` planes, each
 // an independent block array with its own cell timeline. The simulator's
@@ -29,9 +31,10 @@ struct Geometry {
   std::uint32_t chips_per_channel = 4;
   std::uint32_t planes_per_chip = 1;
   std::uint32_t blocks_per_chip = 512;      // blocks per plane (see header note)
-  std::uint32_t wordlines_per_block = 128;  // 2 pages (LSB+MSB) per word line
+  std::uint32_t wordlines_per_block = 128;  // bits_per_cell pages per word line
   std::uint32_t page_size_bytes = 4096;
   std::uint32_t spare_bytes = 128;  // out-of-band area per page
+  std::uint32_t bits_per_cell = 2;  // 2 = MLC (LSB, MSB), 3 = TLC (+ CSB)
 
   /// The configuration used in the paper's evaluation (Section 4.1).
   static constexpr Geometry paper() { return Geometry{}; }
@@ -73,7 +76,7 @@ struct Geometry {
     return num_chips() * planes_per_chip;
   }
   [[nodiscard]] constexpr std::uint32_t pages_per_block() const {
-    return wordlines_per_block * 2;
+    return wordlines_per_block * bits_per_cell;
   }
   /// Pages per unit (per plane).
   [[nodiscard]] constexpr std::uint64_t pages_per_unit() const {
@@ -94,11 +97,13 @@ struct Geometry {
   }
 
   /// Structural and overflow validity: every field positive (word lines
-  /// >= 2 so both page types exist), unit counts fit their u32 indices,
-  /// and total_pages() / capacity_bytes() fit u64 without wrapping.
+  /// >= 2 so the canonical orders exist), an MLC or TLC cell, unit counts
+  /// fit their u32 indices, and total_pages() / capacity_bytes() fit u64
+  /// without wrapping.
   [[nodiscard]] constexpr bool valid() const {
     if (channels == 0 || chips_per_channel == 0 || planes_per_chip == 0 ||
-        blocks_per_chip == 0 || wordlines_per_block < 2 || page_size_bytes == 0) {
+        blocks_per_chip == 0 || wordlines_per_block < 2 || page_size_bytes == 0 ||
+        bits_per_cell < 2 || bits_per_cell > 3) {
       return false;
     }
     constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
@@ -109,7 +114,7 @@ struct Geometry {
     const std::uint64_t units = chips * planes_per_chip;  // < 2^64 (u32 * u32)
     if (units > kMax32) return false;  // num_units() returns u32
     const std::uint64_t block_pages =
-        static_cast<std::uint64_t>(wordlines_per_block) * 2;
+        static_cast<std::uint64_t>(wordlines_per_block) * bits_per_cell;
     if (block_pages > kMax64 / blocks_per_chip) return false;
     const std::uint64_t unit_pages = block_pages * blocks_per_chip;
     if (unit_pages > kMax64 / units) return false;

@@ -8,37 +8,33 @@ namespace rps::nand {
 std::vector<PagePos> legal_programs(const BlockProgramState& block, SequenceKind kind) {
   std::vector<PagePos> legal;
   for (std::uint32_t k = 0; k < block.wordlines(); ++k) {
-    for (PageType type : {PageType::kLsb, PageType::kMsb}) {
-      if (check_program_legality(block, {k, type}, kind).is_ok()) {
-        legal.push_back({k, type});
-      }
+    for (std::uint32_t p = 0; p < block.bits(); ++p) {
+      const PagePos pos{k, type_of_pass(p, block.bits())};
+      if (check_program_legality(block, pos, kind).is_ok()) legal.push_back(pos);
     }
   }
   return legal;
 }
 
-ProgramOrder fps_order(std::uint32_t wordlines) {
+ProgramOrder fps_order(std::uint32_t wordlines, std::uint32_t bits) {
   assert(wordlines >= 2);
   ProgramOrder order;
-  order.reserve(wordlines * 2);
-  // Fig. 2(b): LSB(0), LSB(1), then MSB(k), LSB(k+2) pairs, ending with the
-  // last two MSB pages.
-  order.push_back({0, PageType::kLsb});
-  order.push_back({1, PageType::kLsb});
-  for (std::uint32_t k = 0; k + 2 < wordlines; ++k) {
-    order.push_back({k, PageType::kMsb});
-    order.push_back({k + 2, PageType::kLsb});
+  order.reserve(wordlines * bits);
+  // Diagonal d holds pass p of WL(d - p), in ascending pass order.
+  for (std::uint32_t d = 0; d + 1 < wordlines + bits; ++d) {
+    for (std::uint32_t p = 0; p < bits && p <= d; ++p) {
+      if (d - p < wordlines) order.push_back({d - p, type_of_pass(p, bits)});
+    }
   }
-  order.push_back({wordlines - 2, PageType::kMsb});
-  order.push_back({wordlines - 1, PageType::kMsb});
   return order;
 }
 
-ProgramOrder rps_full_order(std::uint32_t wordlines) {
+ProgramOrder rps_full_order(std::uint32_t wordlines, std::uint32_t bits) {
   ProgramOrder order;
-  order.reserve(wordlines * 2);
-  for (std::uint32_t k = 0; k < wordlines; ++k) order.push_back({k, PageType::kLsb});
-  for (std::uint32_t k = 0; k < wordlines; ++k) order.push_back({k, PageType::kMsb});
+  order.reserve(wordlines * bits);
+  for (std::uint32_t p = 0; p < bits; ++p) {
+    for (std::uint32_t k = 0; k < wordlines; ++k) order.push_back({k, type_of_pass(p, bits)});
+  }
   return order;
 }
 
@@ -67,11 +63,12 @@ ProgramOrder rps_half_order(std::uint32_t wordlines) {
 
 namespace {
 
-ProgramOrder random_order_under(std::uint32_t wordlines, SequenceKind kind, Rng& rng) {
-  BlockProgramState block(wordlines);
+ProgramOrder random_order_under(std::uint32_t wordlines, std::uint32_t bits,
+                                SequenceKind kind, Rng& rng) {
+  BlockProgramState block(wordlines, bits);
   ProgramOrder order;
-  order.reserve(wordlines * 2);
-  for (std::uint32_t step = 0; step < wordlines * 2; ++step) {
+  order.reserve(wordlines * bits);
+  for (std::uint32_t step = 0; step < wordlines * bits; ++step) {
     const std::vector<PagePos> legal = legal_programs(block, kind);
     assert(!legal.empty());
     const PagePos pick = legal[rng.next_below(legal.size())];
@@ -83,17 +80,19 @@ ProgramOrder random_order_under(std::uint32_t wordlines, SequenceKind kind, Rng&
 
 }  // namespace
 
-ProgramOrder random_rps_order(std::uint32_t wordlines, Rng& rng) {
-  return random_order_under(wordlines, SequenceKind::kRps, rng);
+ProgramOrder random_rps_order(std::uint32_t wordlines, Rng& rng, std::uint32_t bits) {
+  return random_order_under(wordlines, bits, SequenceKind::kRps, rng);
 }
 
-ProgramOrder random_unconstrained_order(std::uint32_t wordlines, Rng& rng) {
-  return random_order_under(wordlines, SequenceKind::kUnconstrained, rng);
+ProgramOrder random_unconstrained_order(std::uint32_t wordlines, Rng& rng,
+                                        std::uint32_t bits) {
+  return random_order_under(wordlines, bits, SequenceKind::kUnconstrained, rng);
 }
 
-bool order_satisfies(const ProgramOrder& order, std::uint32_t wordlines, SequenceKind kind) {
-  if (order.size() != static_cast<std::size_t>(wordlines) * 2) return false;
-  BlockProgramState block(wordlines);
+bool order_satisfies(const ProgramOrder& order, std::uint32_t wordlines, SequenceKind kind,
+                     std::uint32_t bits) {
+  if (order.size() != static_cast<std::size_t>(wordlines) * bits) return false;
+  BlockProgramState block(wordlines, bits);
   for (const PagePos pos : order) {
     if (!check_program_legality(block, pos, kind).is_ok()) return false;
     block.mark_programmed(pos);
@@ -101,32 +100,25 @@ bool order_satisfies(const ProgramOrder& order, std::uint32_t wordlines, Sequenc
   return true;
 }
 
-std::vector<WordlineExposure> analyze_exposure(const ProgramOrder& order, std::uint32_t wordlines) {
-  // step_of[x] = position of page x in the order.
-  std::vector<std::uint32_t> lsb_step(wordlines, 0);
-  std::vector<std::uint32_t> msb_step(wordlines, 0);
-  for (std::uint32_t i = 0; i < order.size(); ++i) {
-    const PagePos pos = order[i];
-    (pos.type == PageType::kLsb ? lsb_step : msb_step)[pos.wordline] = i;
-  }
+std::vector<WordlineExposure> analyze_exposure(const ProgramOrder& order,
+                                               std::uint32_t wordlines,
+                                               std::uint32_t bits) {
+  // step_of[x] = position of page x (flat index) in the order.
+  std::vector<std::uint32_t> step_of(static_cast<std::size_t>(wordlines) * bits, 0);
+  for (std::uint32_t i = 0; i < order.size(); ++i) step_of[order[i].flat_index(bits)] = i;
   std::vector<WordlineExposure> exposure(wordlines);
   for (std::uint32_t k = 0; k < wordlines; ++k) {
-    auto count_neighbors = [&](auto predicate) {
-      std::uint32_t count = 0;
-      for (const std::int64_t nb : {static_cast<std::int64_t>(k) - 1,
-                                    static_cast<std::int64_t>(k) + 1}) {
-        if (nb < 0 || nb >= static_cast<std::int64_t>(wordlines)) continue;
-        const auto w = static_cast<std::uint32_t>(nb);
-        if (predicate(lsb_step[w])) ++count;
-        if (predicate(msb_step[w])) ++count;
+    const std::uint32_t first = step_of[k * bits];
+    const std::uint32_t last = step_of[k * bits + bits - 1];
+    for (const std::int64_t nb : {static_cast<std::int64_t>(k) - 1,
+                                  static_cast<std::int64_t>(k) + 1}) {
+      if (nb < 0 || nb >= static_cast<std::int64_t>(wordlines)) continue;
+      for (std::uint32_t p = 0; p < bits; ++p) {
+        const std::uint32_t step = step_of[static_cast<std::uint32_t>(nb) * bits + p];
+        if (step > last) ++exposure[k].aggressors_after_msb;
+        if (step > first && step < last) ++exposure[k].aggressors_on_lsb;
       }
-      return count;
-    };
-    exposure[k].aggressors_after_msb =
-        count_neighbors([&](std::uint32_t step) { return step > msb_step[k]; });
-    exposure[k].aggressors_on_lsb = count_neighbors([&](std::uint32_t step) {
-      return step > lsb_step[k] && step < msb_step[k];
-    });
+    }
   }
   return exposure;
 }

@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "src/nand/device.hpp"
-#include "src/nand/tlc_device.hpp"
 
 namespace rps::obs {
 
@@ -59,32 +58,19 @@ WearSummary summarize_wear(const std::vector<const nand::BlockWear*>& blocks) {
   return s;
 }
 
-namespace {
-
-template <typename DeviceT>
-WearSummary collect_wear_impl(const DeviceT& device, std::uint32_t units) {
+WearSummary collect_wear(const nand::NandDevice& device) {
   std::vector<const nand::BlockWear*> blocks;
   std::size_t total = 0;
-  for (std::uint32_t c = 0; c < units; ++c) {
+  for (std::uint32_t c = 0; c < device.num_units(); ++c) {
     total += device.chip(c).wear_ledger().size();
   }
   blocks.reserve(total);
-  for (std::uint32_t c = 0; c < units; ++c) {
+  for (std::uint32_t c = 0; c < device.num_units(); ++c) {
     for (const nand::BlockWear& w : device.chip(c).wear_ledger()) {
       blocks.push_back(&w);
     }
   }
   return summarize_wear(blocks);
-}
-
-}  // namespace
-
-WearSummary collect_wear(const nand::NandDevice& device) {
-  return collect_wear_impl(device, device.geometry().num_units());
-}
-
-WearSummary collect_wear(const nand::TlcDevice& device) {
-  return collect_wear_impl(device, device.geometry().num_chips());
 }
 
 double waf_of(const nand::AttributionCounters& a, nand::WriteCause cause) {

@@ -25,7 +25,7 @@
 //
 // This layer is post-run reporting: nothing here runs inside the
 // allocation-audited hot path (the ledgers themselves are preallocated in
-// the device constructors; see nand::Chip / nand::TlcChip).
+// the device constructors; see nand::Chip).
 #pragma once
 
 #include <array>
@@ -38,7 +38,6 @@
 
 namespace rps::nand {
 class NandDevice;
-class TlcDevice;
 }  // namespace rps::nand
 
 namespace rps::obs {
@@ -68,12 +67,11 @@ struct WearSummary {
   friend bool operator==(const WearSummary&, const WearSummary&) = default;
 };
 
-/// Summarize an explicit ledger span (exposed for tests; the device
-/// overloads below concatenate per-chip ledgers in unit order).
+/// Summarize an explicit ledger span (exposed for tests; collect_wear
+/// concatenates the per-chip ledgers of a device in unit order).
 [[nodiscard]] WearSummary summarize_wear(const std::vector<const nand::BlockWear*>& blocks);
 
 [[nodiscard]] WearSummary collect_wear(const nand::NandDevice& device);
-[[nodiscard]] WearSummary collect_wear(const nand::TlcDevice& device);
 
 /// WAF contribution of one cause: programs(cause) / host programs.
 /// Contributions over all causes sum exactly to total WAF because the

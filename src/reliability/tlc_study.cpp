@@ -25,7 +25,7 @@ std::uint32_t tlc_bit_errors_for_cell(std::size_t state, double vth,
                                     ((diff >> 2) & 1u));
 }
 
-std::vector<TlcWordlineResult> simulate_tlc_block(const nand::TlcProgramOrder& order,
+std::vector<TlcWordlineResult> simulate_tlc_block(const nand::ProgramOrder& order,
                                                   std::uint32_t wordlines,
                                                   const TlcStudyConfig& config,
                                                   Rng& rng) {
@@ -34,21 +34,20 @@ std::vector<TlcWordlineResult> simulate_tlc_block(const nand::TlcProgramOrder& o
 
   // Step index of every page, then the aggressor pass list per word line:
   // neighbor programs landing after the word line's final (MSB) pass.
+  // Flat indices (flat_index(3)) put word line k's passes at 3k..3k+2.
   std::vector<std::uint32_t> step_of(wordlines * 3, 0);
   for (std::uint32_t i = 0; i < order.size(); ++i) {
-    step_of[order[i].flat_index()] = i;
+    step_of[order[i].flat_index(3)] = i;
   }
   std::vector<std::vector<std::size_t>> aggressors(wordlines);
   for (std::uint32_t k = 0; k < wordlines; ++k) {
-    const std::uint32_t final_step =
-        step_of[nand::TlcPagePos{k, nand::TlcPageType::kMsb}.flat_index()];
+    const std::uint32_t final_step = step_of[k * 3 + 2];
     for (const std::int64_t nb : {static_cast<std::int64_t>(k) - 1,
                                   static_cast<std::int64_t>(k) + 1}) {
       if (nb < 0 || nb >= static_cast<std::int64_t>(wordlines)) continue;
       const auto w = static_cast<std::uint32_t>(nb);
       for (std::size_t pass = 0; pass < 3; ++pass) {
-        const nand::TlcPagePos pos{w, static_cast<nand::TlcPageType>(pass)};
-        if (step_of[pos.flat_index()] > final_step) aggressors[k].push_back(pass);
+        if (step_of[w * 3 + pass] > final_step) aggressors[k].push_back(pass);
       }
     }
   }
@@ -83,13 +82,13 @@ TlcStudyResult run_tlc_study(TlcScheme scheme, std::uint32_t blocks,
   TlcStudyResult result;
   result.scheme = scheme;
   for (std::uint32_t b = 0; b < blocks; ++b) {
-    nand::TlcProgramOrder order;
+    nand::ProgramOrder order;
     switch (scheme) {
-      case TlcScheme::kFps: order = nand::tlc_fps_order(wordlines); break;
-      case TlcScheme::kRpsFull: order = nand::tlc_rps_full_order(wordlines); break;
-      case TlcScheme::kRpsRandom: order = nand::random_tlc_rps_order(wordlines, rng); break;
+      case TlcScheme::kFps: order = nand::fps_order(wordlines, 3); break;
+      case TlcScheme::kRpsFull: order = nand::rps_full_order(wordlines, 3); break;
+      case TlcScheme::kRpsRandom: order = nand::random_rps_order(wordlines, rng, 3); break;
       case TlcScheme::kUnconstrained:
-        order = nand::random_tlc_unconstrained_order(wordlines, rng);
+        order = nand::random_unconstrained_order(wordlines, rng, 3);
         break;
     }
     for (const TlcWordlineResult& wl :

@@ -1,14 +1,14 @@
 // Reliability model for the TLC extension: 8 Vth states, 3-bit Gray
 // coding, and cell-to-cell coupling from post-final-pass aggressor
-// programs — the Fig. 4 methodology applied to the TLC sequence family of
-// src/nand/tlc.hpp.
+// programs — the Fig. 4 methodology applied to the TLC (3-pass) orders of
+// src/nand/program_order.hpp.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
-#include "src/nand/tlc.hpp"
+#include "src/nand/program_order.hpp"
 #include "src/util/random.hpp"
 #include "src/util/stats.hpp"
 
@@ -51,8 +51,9 @@ struct TlcStudyConfig {
   TlcVthModel model = TlcVthModel::nominal();
 };
 
-/// Program one TLC block under `order`, Monte-Carlo per cell.
-std::vector<TlcWordlineResult> simulate_tlc_block(const nand::TlcProgramOrder& order,
+/// Program one TLC block under `order` (3 pages per word line),
+/// Monte-Carlo per cell.
+std::vector<TlcWordlineResult> simulate_tlc_block(const nand::ProgramOrder& order,
                                                   std::uint32_t wordlines,
                                                   const TlcStudyConfig& config,
                                                   Rng& rng);

@@ -36,20 +36,6 @@ bool geometry_matches(ser::Reader& r, const nand::Geometry& g) {
          r.u32() == g.spare_bytes;
 }
 
-void write_geometry(ser::Writer& w, const nand::TlcGeometry& g) {
-  w.u32(g.channels);
-  w.u32(g.chips_per_channel);
-  w.u32(g.blocks_per_chip);
-  w.u32(g.wordlines_per_block);
-  w.u32(g.page_size_bytes);
-}
-
-bool geometry_matches(ser::Reader& r, const nand::TlcGeometry& g) {
-  return r.u32() == g.channels && r.u32() == g.chips_per_channel &&
-         r.u32() == g.blocks_per_chip && r.u32() == g.wordlines_per_block &&
-         r.u32() == g.page_size_bytes;
-}
-
 /// One capture: header, payload and FNV-1a trailer written into one
 /// buffer sized exactly up front by a sizing pass over the same save code
 /// — no growth and no second copy of the payload.
@@ -82,10 +68,9 @@ std::vector<std::uint8_t> encode_snapshot(const Ftl& ftl, std::uint8_t family) {
 /// it replaces. Integrity is checked once, where untrusted bytes enter a
 /// Snapshot (from_bytes / load_file); capture() output is correct by
 /// construction.
-template <typename Geometry>
 std::optional<ser::Reader> open_payload(const std::vector<std::uint8_t>& bytes,
                                         std::uint8_t family, std::string_view name,
-                                        const Geometry& geometry) {
+                                        const nand::Geometry& geometry) {
   ser::Reader r(bytes);
   if (r.u64() != Snapshot::kMagic) return std::nullopt;
   if (r.u32() != Snapshot::kVersion) return std::nullopt;
@@ -106,8 +91,7 @@ bool verify_stream(const std::vector<std::uint8_t>& bytes) {
   const std::uint8_t family = r.u8();
   if (family != kFamilyMlc && family != kFamilyTlc) return false;
   if (r.str().empty()) return false;
-  const std::size_t geometry_words = family == kFamilyMlc ? 7 : 5;
-  for (std::size_t i = 0; i < geometry_words; ++i) (void)r.u32();
+  for (int i = 0; i < 7; ++i) (void)r.u32();  // geometry echo
   const std::uint64_t size = r.u64();
   if (!r.ok() || r.remaining() < 8 || size != r.remaining() - 8) return false;
   const std::size_t start = r.pos();

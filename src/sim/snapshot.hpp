@@ -12,11 +12,14 @@
 //
 //   u64  magic      "RPSSNAP1"
 //   u32  version    kVersion (readers reject anything else)
-//   u8   family     0 = MLC FtlBase, 1 = core::FlexTlcFtl
+//   u8   family     0 = MLC FtlBase, 1 = core::FlexTlcFtl (TLC)
 //   str  ftl name   e.g. "flexFTL" (restore target must match)
-//   u32[] geometry echo (7 fields MLC / 5 fields TLC; must match)
+//   u32[7] geometry echo (channels, chips per channel, planes, blocks,
+//                   word lines, page and spare bytes; must match — the
+//                   family fixes the bit count)
 //   u64  payload size
-//   ...  payload    FtlBase::save_state / FlexTlcFtl::save_state stream
+//   ...  payload    FtlBase::save_state / FlexTlcFtl::save_state stream;
+//                   both open with the NandDevice stream
 //   u64  payload FNV-1a (file-corruption guard)
 //
 // Determinism contract: the byte stream is canonical — unordered
@@ -50,13 +53,15 @@ class Snapshot {
   static constexpr std::uint64_t kMagic = 0x3150414e53535052ull;  // "RPSSNAP1"
   // v2: per-block wear ledger + cause-attributed op counters appended to
   // the chip/device payload streams (old v1 payloads lack those fields).
-  static constexpr std::uint32_t kVersion = 2;
+  // v3: the chip stream drops the program-suspension fields, and the TLC
+  // family carries the shared NandDevice stream and geometry echo.
+  static constexpr std::uint32_t kVersion = 3;
 
   Snapshot() = default;
 
   /// Capture the complete state of an MLC-family FTL (any FtlBase).
   static Snapshot capture(const ftl::FtlBase& ftl);
-  /// Capture the TLC projection (FlexTlcFtl owns its own device type).
+  /// Capture the TLC projection (FlexTlcFtl, not an FtlBase).
   static Snapshot capture(const core::FlexTlcFtl& ftl);
 
   /// Restore into a same-configuration instance. Returns false — leaving

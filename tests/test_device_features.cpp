@@ -1,84 +1,11 @@
-// Device/FTL features layered beyond the paper's baseline model: program
-// suspension (read-latency QoS under 2 ms MSB programs) and read-disturb
-// scrubbing.
+// Device/FTL features layered beyond the paper's baseline model:
+// read-disturb scrubbing.
 #include <gtest/gtest.h>
 
-#include "src/core/flex_ftl.hpp"
 #include "src/ftl/page_ftl.hpp"
-#include "src/util/random.hpp"
-#include "src/util/stats.hpp"
 
 namespace rps {
 namespace {
-
-TEST(ProgramSuspend, ReadPreemptsInFlightMsbProgram) {
-  nand::Chip chip(4, 4, nand::SequenceKind::kRps, nand::TimingSpec::paper());
-  chip.set_program_suspend(true);
-  ASSERT_TRUE(chip.program(0, {0, nand::PageType::kLsb}, {}, 0).is_ok());
-  ASSERT_TRUE(chip.program(0, {1, nand::PageType::kLsb}, {}, 0).is_ok());
-  // MSB program occupies [1000, 3000).
-  const auto msb = chip.program(0, {0, nand::PageType::kMsb}, {}, 0);
-  ASSERT_TRUE(msb.is_ok());
-  ASSERT_EQ(msb.value().start, 1000);
-
-  // A read at t=1500 preempts: it completes at 1540, not after 3000.
-  const auto read = chip.read(0, {0, nand::PageType::kLsb}, 1500);
-  ASSERT_TRUE(read.is_ok());
-  EXPECT_EQ(read.value().timing.start, 1500);
-  EXPECT_EQ(read.value().timing.complete, 1540);
-  // The program (and the chip) stretched by read + suspend/resume overhead.
-  EXPECT_EQ(chip.busy_until(), 3000 + 40 + 30);
-  const auto in_flight = chip.program_in_flight_at(3020);
-  ASSERT_TRUE(in_flight.has_value());
-  EXPECT_EQ(in_flight->suspends, 1u);
-}
-
-TEST(ProgramSuspend, DisabledReadsQueueBehindPrograms) {
-  nand::Chip chip(4, 4, nand::SequenceKind::kRps, nand::TimingSpec::paper());
-  ASSERT_TRUE(chip.program(0, {0, nand::PageType::kLsb}, {}, 0).is_ok());
-  const auto read = chip.read(0, {0, nand::PageType::kLsb}, 100);
-  ASSERT_TRUE(read.is_ok());
-  EXPECT_EQ(read.value().timing.start, 500);  // waits for the program
-}
-
-TEST(ProgramSuspend, SuspensionCountIsBounded) {
-  nand::TimingSpec timing = nand::TimingSpec::paper();
-  timing.max_suspends_per_program = 2;
-  nand::Chip chip(4, 4, nand::SequenceKind::kRps, timing);
-  chip.set_program_suspend(true);
-  ASSERT_TRUE(chip.program(0, {0, nand::PageType::kLsb}, {}, 0).is_ok());  // [0,500)
-  // First two reads preempt; the third queues behind the stretched program.
-  EXPECT_EQ(chip.read(0, {0, nand::PageType::kLsb}, 100).value().timing.start, 100);
-  EXPECT_EQ(chip.read(0, {0, nand::PageType::kLsb}, 200).value().timing.start, 200);
-  const auto third = chip.read(0, {0, nand::PageType::kLsb}, 300);
-  EXPECT_EQ(third.value().timing.start, 500 + 2 * (40 + 30));
-}
-
-TEST(ProgramSuspend, FtlReadJumpsAnInFlightMsbProgram) {
-  // End-to-end through the FTL: a read issued mid-MSB-program returns in
-  // ~read time with suspension, but waits out the 2 ms program without it.
-  auto read_latency = [](bool suspend) -> Microseconds {
-    ftl::FtlConfig config = ftl::FtlConfig::tiny();
-    config.geometry.channels = 1;
-    config.geometry.chips_per_channel = 1;
-    config.program_suspend = suspend;
-    ftl::PageFtl ftl(config);
-    // FPS: L0(0..500), L1(510..1010), M0(1020..3020) with bus transfers.
-    EXPECT_TRUE(ftl.write(0, 0, 0.5).is_ok());
-    EXPECT_TRUE(ftl.write(1, 0, 0.5).is_ok());
-    EXPECT_TRUE(ftl.write(2, 0, 0.5).is_ok());  // the MSB program
-    // Read lpn 0 while the MSB program is in flight.
-    const Microseconds issue = 2'000;
-    const Result<ftl::HostOp> read = ftl.read(0, issue);
-    EXPECT_TRUE(read.is_ok());
-    return read.is_ok() ? read.value().complete - issue : 0;
-  };
-  const Microseconds with = read_latency(true);
-  const Microseconds without = read_latency(false);
-  const nand::TimingSpec timing = nand::TimingSpec::paper();
-  EXPECT_EQ(with, timing.read_us + timing.transfer_us);
-  EXPECT_GT(without, timing.program_msb_us / 2);  // waited for the program
-}
 
 TEST(ReadDisturb, CounterTracksReadsAndResetsOnErase) {
   nand::Block block(4, nand::SequenceKind::kRps);

@@ -184,8 +184,9 @@ TEST(AttributionConservationTlc, SteadyStateAndCrashRecovery) {
   // The TLC parity lane always flushes under kParity.
   EXPECT_GT(a.programs(nand::WriteCause::kParity), 0u);
 
-  // Crash mid-write, recover, re-check: TLC's eager erases and parity
-  // recovery writes (kMeta) must keep the books balanced.
+  // Crash mid-write, recover, re-check: erases the cut voids, recovery's
+  // scrub erases and its parity rewrites (kMeta) must keep the books
+  // balanced.
   const Microseconds t = ftl.device().all_idle_at();
   const Result<Microseconds> op = ftl.write(0, t, 0.5);
   ASSERT_TRUE(op.is_ok());

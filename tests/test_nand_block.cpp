@@ -71,10 +71,10 @@ TEST(Block, FullLifecycleUnderRpsFull) {
     EXPECT_TRUE(b.program(pos, make_data(pos.flat_index(), 1)).is_ok());
   }
   EXPECT_TRUE(b.is_fully_programmed());
-  EXPECT_EQ(b.programmed_lsb_pages(), wl);
-  EXPECT_EQ(b.programmed_msb_pages(), wl);
+  EXPECT_EQ(b.programmed_in_pass(PageType::kLsb), wl);
+  EXPECT_EQ(b.programmed_in_pass(PageType::kMsb), wl);
   EXPECT_FALSE(b.next_lsb().has_value());
-  EXPECT_FALSE(b.next_msb().has_value());
+  EXPECT_FALSE(b.next_in_pass(PageType::kMsb).has_value());
 }
 
 TEST(Block, EraseResetsEverythingAndCountsWear) {
@@ -104,12 +104,12 @@ TEST(Block, NextMsbRespectsConstraint3) {
   Block b(3, SequenceKind::kRps);
   ASSERT_TRUE(b.program({0, PageType::kLsb}, {}).is_ok());
   // MSB(0) needs LSB(1) first.
-  EXPECT_FALSE(b.next_msb().has_value());
+  EXPECT_FALSE(b.next_in_pass(PageType::kMsb).has_value());
   ASSERT_TRUE(b.program({1, PageType::kLsb}, {}).is_ok());
-  ASSERT_TRUE(b.next_msb().has_value());
-  EXPECT_EQ(b.next_msb()->wordline, 0u);
+  ASSERT_TRUE(b.next_in_pass(PageType::kMsb).has_value());
+  EXPECT_EQ(b.next_in_pass(PageType::kMsb)->wordline, 0u);
   ASSERT_TRUE(b.program({0, PageType::kMsb}, {}).is_ok());
-  EXPECT_FALSE(b.next_msb().has_value());  // MSB(1) needs LSB(2)
+  EXPECT_FALSE(b.next_in_pass(PageType::kMsb).has_value());  // MSB(1) needs LSB(2)
 }
 
 TEST(Block, CorruptMakesPageUnreadable) {

@@ -42,6 +42,14 @@ TEST(Chip, RejectedProgramLeavesTimelineUntouched) {
   EXPECT_EQ(chip.counters().programs(), 0u);
 }
 
+TEST(Chip, ReadsQueueBehindPrograms) {
+  Chip chip(4, 4, SequenceKind::kRps, TimingSpec::paper());
+  ASSERT_TRUE(chip.program(0, {0, PageType::kLsb}, {}, 0).is_ok());
+  const auto read = chip.read(0, {0, PageType::kLsb}, 100);
+  ASSERT_TRUE(read.is_ok());
+  EXPECT_EQ(read.value().timing.start, 500);  // waits for the program
+}
+
 TEST(Chip, ReadTimingAndData) {
   Chip chip = make_chip();
   PageData d;

@@ -28,6 +28,11 @@ TEST(Geometry, DerivedQuantities) {
   EXPECT_EQ(g.total_blocks(), 64u);
   EXPECT_EQ(g.total_pages(), 512u);
   EXPECT_TRUE(g.valid());
+  Geometry tlc = g;
+  tlc.bits_per_cell = 3;  // three pages (LSB, CSB, MSB) per word line
+  EXPECT_EQ(tlc.pages_per_block(), 12u);
+  EXPECT_EQ(tlc.total_pages(), 768u);
+  EXPECT_TRUE(tlc.valid());
 }
 
 TEST(Geometry, ChannelOfChip) {
@@ -48,6 +53,11 @@ TEST(Geometry, InvalidConfigurations) {
   g = Geometry::tiny();
   g.planes_per_chip = 0;
   EXPECT_FALSE(g.valid());
+  for (const std::uint32_t bits : {0u, 1u, 4u}) {  // MLC and TLC only
+    g = Geometry::tiny();
+    g.bits_per_cell = bits;
+    EXPECT_FALSE(g.valid()) << bits;
+  }
 }
 
 TEST(Geometry, PlanePresets) {

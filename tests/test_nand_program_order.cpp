@@ -21,16 +21,20 @@ bool is_permutation_of_all_pages(const ProgramOrder& order, std::uint32_t wordli
 
 TEST(BlockProgramState, TracksWordlineStates) {
   BlockProgramState s(4);
-  EXPECT_EQ(s.state(0), WordlineState::kErased);
+  EXPECT_EQ(s.passes(0), 0u);
   s.mark_programmed({0, PageType::kLsb});
-  EXPECT_EQ(s.state(0), WordlineState::kLsbProgrammed);
+  EXPECT_EQ(s.passes(0), 1u);
   EXPECT_TRUE(s.is_programmed({0, PageType::kLsb}));
   EXPECT_FALSE(s.is_programmed({0, PageType::kMsb}));
   s.mark_programmed({0, PageType::kMsb});
-  EXPECT_EQ(s.state(0), WordlineState::kFullyProgrammed);
+  EXPECT_EQ(s.passes(0), 2u);
   EXPECT_TRUE(s.is_programmed({0, PageType::kMsb}));
   s.reset();
-  EXPECT_EQ(s.state(0), WordlineState::kErased);
+  EXPECT_EQ(s.passes(0), 0u);
+  // An MLC block has no CSB page.
+  EXPECT_FALSE(s.contains({0, PageType::kCsb}));
+  EXPECT_EQ(check_program_legality(s, {0, PageType::kCsb}, SequenceKind::kUnconstrained).code(),
+            ErrorCode::kOutOfRange);
 }
 
 TEST(CheckLegality, FirstProgramMustBeLsb0UnderFpsAndRps) {

@@ -46,7 +46,7 @@ TEST(TlcSimulate, ShapesAndAggressorBound) {
   Rng rng(1);
   const std::uint32_t wl = 8;
   const auto results =
-      simulate_tlc_block(nand::tlc_rps_full_order(wl), wl, small_config(), rng);
+      simulate_tlc_block(nand::rps_full_order(wl, 3), wl, small_config(), rng);
   ASSERT_EQ(results.size(), wl);
   for (const TlcWordlineResult& r : results) {
     EXPECT_LE(r.aggressors_after_final, 1u);

@@ -112,8 +112,8 @@ struct RefPage {
   friend bool operator==(const RefPage&, const RefPage&) = default;
 };
 
-/// One block as the stream carries it. `reads` and `slc` exist only in
-/// MLC blocks; begin/end locate the block's bytes in the stream.
+/// One block as the stream carries it; begin/end locate the block's
+/// bytes in the stream.
 struct RefBlock {
   std::uint8_t kind = 0;
   std::uint64_t erase_count = 0;
@@ -142,29 +142,25 @@ RefPage ref_load_page(RefReader& r) {
   return p;
 }
 
-RefBlock ref_load_block(RefReader& r, bool mlc) {
+RefBlock ref_load_block(RefReader& r) {
   RefBlock b;
   b.begin = r.pos();
   b.kind = r.u8();
   b.erase_count = r.u64();
-  if (mlc) {
-    b.reads = r.u64();
-    b.slc = r.boolean();
-  }
+  b.reads = r.u64();
+  b.slc = r.boolean();
   const std::uint64_t pages = r.count(1);
   for (std::uint64_t i = 0; i < pages && r.ok(); ++i) b.pages.push_back(ref_load_page(r));
   b.end = r.pos();
   return b;
 }
 
-std::vector<std::uint8_t> ref_save_block(const RefBlock& b, bool mlc) {
+std::vector<std::uint8_t> ref_save_block(const RefBlock& b) {
   RefWriter w;
   w.u8(b.kind);
   w.u64(b.erase_count);
-  if (mlc) {
-    w.u64(b.reads);
-    w.boolean(b.slc);
-  }
+  w.u64(b.reads);
+  w.boolean(b.slc);
   w.u64(b.pages.size());
   for (const RefPage& p : b.pages) {
     w.u8(static_cast<std::uint8_t>(p.state));
@@ -179,7 +175,7 @@ std::vector<std::uint8_t> ref_save_block(const RefBlock& b, bool mlc) {
   return w.data();
 }
 
-/// A live MLC block in reference form. Reads the counters before peeking
+/// A live block in reference form. Reads the counters before peeking
 /// (a peek counts as a sensing pass).
 RefBlock ref_of(const nand::Block& block, const nand::PayloadTable& payloads) {
   RefBlock b;
@@ -188,30 +184,11 @@ RefBlock ref_of(const nand::Block& block, const nand::PayloadTable& payloads) {
   b.reads = block.reads_since_erase();
   b.slc = block.slc_mode();
   for (std::uint32_t i = 0; i < block.num_pages(); ++i) {
-    const nand::PagePos pos = nand::PagePos::from_flat(i);
+    const nand::PagePos pos = nand::PagePos::from_flat(i, block.bits());
     RefPage p;
     p.state = block.page_state(pos);
     if (p.state == nand::PageState::kValid) {
       p.record = *block.peek(pos);
-      const auto bytes = payloads.find(p.record.signature);
-      p.bytes.assign(bytes.begin(), bytes.end());
-    }
-    b.pages.push_back(std::move(p));
-  }
-  return b;
-}
-
-RefBlock ref_of(const nand::TlcBlock& block, nand::TlcSequenceKind kind,
-                const nand::PayloadTable& payloads) {
-  RefBlock b;
-  b.kind = static_cast<std::uint8_t>(kind);
-  b.erase_count = block.erase_count();
-  for (std::uint32_t i = 0; i < block.wordlines() * 3; ++i) {
-    const nand::TlcPagePos pos{i / 3, static_cast<nand::TlcPageType>(i % 3)};
-    RefPage p;
-    p.state = block.page_state(pos);
-    if (p.state == nand::PageState::kValid) {
-      p.record = block.read(pos).value();
       const auto bytes = payloads.find(p.record.signature);
       p.bytes.assign(bytes.begin(), bytes.end());
     }
@@ -278,12 +255,12 @@ struct RefStream {
   }
 };
 
-void ref_skip_header(RefReader& r, std::size_t geometry_words) {
+void ref_skip_header(RefReader& r) {
   (void)r.u64();  // magic
   (void)r.u32();  // version
   (void)r.u8();   // family
   (void)r.bytes(r.u64());
-  for (std::size_t i = 0; i < geometry_words; ++i) (void)r.u32();
+  for (int i = 0; i < 7; ++i) (void)r.u32();  // geometry echo
   (void)r.u64();  // payload size
 }
 
@@ -293,19 +270,15 @@ std::size_t attribution_bytes() {
   return sizer.size();
 }
 
-/// Parse an MLC capture per field: header, device, mapping, block pools.
-RefStream ref_parse_mlc(const std::vector<std::uint8_t>& bytes) {
-  RefStream s;
-  RefReader r(bytes);
-  ref_skip_header(r, 7);
-  s.payload_begin = r.pos();
+/// Parse the device section both families open their payload with.
+void ref_parse_device(RefReader& r, RefStream& s) {
   const std::uint64_t units = r.count(8);
   s.blocks.resize(units);
   s.pending.resize(units);
   for (std::uint64_t u = 0; u < units && r.ok(); ++u) {
     const std::uint64_t blocks = r.count(1);
     for (std::uint64_t b = 0; b < blocks && r.ok(); ++b) {
-      s.blocks[u].push_back(ref_load_block(r, /*mlc=*/true));
+      s.blocks[u].push_back(ref_load_block(r));
     }
     (void)r.i64();  // busy_until
     (void)r.i64();  // busy_total
@@ -317,7 +290,6 @@ RefStream ref_parse_mlc(const std::vector<std::uint8_t>& bytes) {
       (void)r.u8();
       (void)r.i64();
       (void)r.i64();
-      (void)r.u32();
     }
     const std::uint64_t pending = r.count(21);
     for (std::uint64_t i = 0; i < pending && r.ok(); ++i) {
@@ -327,7 +299,6 @@ RefStream ref_parse_mlc(const std::vector<std::uint8_t>& bytes) {
       (void)r.u8();
       (void)r.i64();
     }
-    (void)r.boolean();  // program suspend
     for (std::uint64_t b = 0; b < blocks; ++b) {
       (void)r.u64();
       (void)r.u64();
@@ -350,7 +321,10 @@ RefStream ref_parse_mlc(const std::vector<std::uint8_t>& bytes) {
   (void)r.boolean();  // cache program
   (void)r.u64();      // power losses
   (void)r.bytes(attribution_bytes());
+}
 
+/// Parse the mapping table (the same layout in both families).
+void ref_parse_mapping(RefReader& r, RefStream& s) {
   s.mapping_begin = r.pos();
   const std::uint64_t lpns = r.count(1);
   for (std::uint64_t lpn = 0; lpn < lpns && r.ok(); ++lpn) {
@@ -359,7 +333,16 @@ RefStream ref_parse_mlc(const std::vector<std::uint8_t>& bytes) {
     (void)r.bytes(13);  // chip, block, word line, page type
   }
   s.mapping_end = r.pos();
+}
 
+/// Parse an MLC capture per field: header, device, mapping, block pools.
+RefStream ref_parse_mlc(const std::vector<std::uint8_t>& bytes) {
+  RefStream s;
+  RefReader r(bytes);
+  ref_skip_header(r);
+  s.payload_begin = r.pos();
+  ref_parse_device(r, s);
+  ref_parse_mapping(r, s);
   const std::uint64_t pool_chips = r.count(8);
   for (std::uint64_t c = 0; c < pool_chips && r.ok(); ++c) {
     const std::uint64_t blocks = r.count(9);
@@ -380,31 +363,18 @@ RefStream ref_parse_mlc(const std::vector<std::uint8_t>& bytes) {
   return s;
 }
 
-/// Parse a TLC capture's device section per field.
+/// Parse a TLC capture's device section, mapping and first chip's free
+/// list.
 RefStream ref_parse_tlc(const std::vector<std::uint8_t>& bytes) {
   RefStream s;
   RefReader r(bytes);
-  ref_skip_header(r, 5);
+  ref_skip_header(r);
   s.payload_begin = r.pos();
-  const std::uint64_t chips = r.count(8);
-  s.blocks.resize(chips);
-  s.pending.resize(chips);
-  for (std::uint64_t c = 0; c < chips && r.ok(); ++c) {
-    const std::uint64_t blocks = r.count(1);
-    for (std::uint64_t b = 0; b < blocks && r.ok(); ++b) {
-      s.blocks[c].push_back(ref_load_block(r, /*mlc=*/false));
-    }
-    (void)r.i64();
-    for (int i = 0; i < 4; ++i) (void)r.u64();
-    if (r.boolean()) {
-      (void)r.u32();
-      (void)r.u32();
-      (void)r.u8();
-      (void)r.i64();
-      (void)r.i64();
-    }
-    for (std::uint64_t b = 0; b < blocks; ++b) (void)r.bytes(24);
-  }
+  ref_parse_device(r, s);
+  ref_parse_mapping(r, s);
+  (void)r.u64();  // chips
+  const std::uint64_t free = r.count(4);
+  if (free > 0) s.first_free_block = r.pos();
   EXPECT_TRUE(r.ok()) << "reference decoder ran off the stream";
   return s;
 }
@@ -445,18 +415,9 @@ void drive(Ftl& ftl, Lpn span, std::uint64_t seed) {
 }
 
 /// Cut power halfway through the charged timeline: each unit's last
-/// program is destroyed (and an MSB victim's paired LSB page with it).
+/// program is destroyed (and the lower pages of its word line with it).
 void cut_power(nand::NandDevice& device) {
   ASSERT_FALSE(device.inject_power_loss(device.all_idle_at() / 2).empty());
-}
-
-/// A TLC chip loses only a program in flight at the cut: cut inside the
-/// first chip whose timeline ends with a program.
-void cut_power(nand::TlcDevice& device) {
-  for (std::uint32_t c = 0; c < device.geometry().num_chips(); ++c) {
-    if (!device.inject_power_loss(device.chip(c).busy_until() - 1).empty()) return;
-  }
-  FAIL() << "no TLC chip had a program in flight";
 }
 
 /// Keep writing until some unit holds a pending erase (GC erases stay
@@ -493,7 +454,7 @@ void check_mlc_capture(FtlKind kind, const ftl::FtlConfig& config, ftl::FtlBase&
     for (const RefBlock& b : unit) {
       const std::vector<std::uint8_t> expected(bytes.begin() + static_cast<std::ptrdiff_t>(b.begin),
                                                bytes.begin() + static_cast<std::ptrdiff_t>(b.end));
-      ASSERT_EQ(ref_save_block(b, true), expected);
+      ASSERT_EQ(ref_save_block(b), expected);
     }
   }
 
@@ -521,7 +482,7 @@ void check_mlc_capture(FtlKind kind, const ftl::FtlConfig& config, ftl::FtlBase&
       const std::vector<std::uint8_t> expected(
           bytes.begin() + static_cast<std::ptrdiff_t>(decoded.begin),
           bytes.begin() + static_cast<std::ptrdiff_t>(decoded.end));
-      ASSERT_EQ(ref_save_block(live, true), expected) << "unit " << u << " block " << b;
+      ASSERT_EQ(ref_save_block(live), expected) << "unit " << u << " block " << b;
       ASSERT_TRUE(ref_of(original.device().chip(u).block(b), original.device().payloads())
                       .same_content(decoded))
           << "unit " << u << " block " << b;
@@ -598,13 +559,14 @@ TEST(SnapshotCodecReferenceTlc, PayloadsAndPowerCut) {
         const std::vector<std::uint8_t> expected(
             bytes.begin() + static_cast<std::ptrdiff_t>(decoded.begin),
             bytes.begin() + static_cast<std::ptrdiff_t>(decoded.end));
-        ASSERT_EQ(ref_save_block(decoded, false), expected);
+        ASSERT_EQ(ref_save_block(decoded), expected);
+        // Touching a block applies its pending erase (see check_mlc_capture).
+        if (ref.pending[c].count(b) != 0) continue;
         for (const core::FlexTlcFtl* live : {&ftl, &restored}) {
-          const RefBlock state = ref_of(live->device().chip(c).block(b),
-                                        live->device().sequence_kind(),
-                                        live->device().payloads());
+          const RefBlock state =
+              ref_of(live->device().chip(c).block(b), live->device().payloads());
           ASSERT_TRUE(state.same_content(decoded)) << "chip " << c << " block " << b;
-          ASSERT_EQ(ref_save_block(state, false), expected);
+          ASSERT_EQ(ref_save_block(state), expected);
         }
       }
     }
@@ -652,11 +614,12 @@ TEST(SnapshotCodecPrimitives, PageImageMatchesPageSlotEncoding) {
   const nand::PageImage image{{7, 0xfeed, 0x42, 9}, {1, 2, 3}};
   RefBlock one;
   one.pages.push_back(RefPage{nand::PageState::kValid, image.record, image.bytes});
-  const std::vector<std::uint8_t> slot = ref_save_block(one, false);
+  const std::vector<std::uint8_t> slot = ref_save_block(one);
   const std::vector<std::uint8_t> bytes =
       ser::encode([&](ser::Writer& w) { nand::save(w, image); });
-  // Block framing (kind, erase count, page count, state byte) = 18 bytes.
-  ASSERT_EQ(bytes, std::vector<std::uint8_t>(slot.begin() + 18, slot.end()));
+  // Block framing (kind, erase count, reads, SLC flag, page count, state
+  // byte) = 27 bytes.
+  ASSERT_EQ(bytes, std::vector<std::uint8_t>(slot.begin() + 27, slot.end()));
   ser::Reader r(bytes);
   nand::PageImage back;
   nand::load(r, back);
@@ -747,6 +710,30 @@ TEST(SnapshotLoaderValidation, ChipRejectsOutOfRangeBlockIndices) {
   EXPECT_FALSE(capture.restores_with_u32(capture.ref.first_pending_block, blocks));
   ASSERT_NE(capture.ref.first_last_program_block, 0u);
   EXPECT_FALSE(capture.restores_with_u32(capture.ref.first_last_program_block, blocks));
+}
+
+TEST(SnapshotLoaderValidation, TlcRejectsOutOfRangeAddressesAndBlocks) {
+  const core::TlcFtlConfig config = core::TlcFtlConfig::tiny();
+  core::FlexTlcFtl ftl(config);
+  drive(ftl, ftl.exported_pages() / 2, 0x71d);
+  const std::vector<std::uint8_t> bytes = Snapshot::capture(ftl).bytes();
+  const RefStream ref = ref_parse_tlc(bytes);
+  ASSERT_NE(ref.first_mapped_address, 0u);
+  ASSERT_NE(ref.first_free_block, 0u);
+  const auto restores_with_u32 = [&](std::size_t offset, std::uint32_t value) {
+    std::vector<std::uint8_t> mutated = bytes;
+    ser::store_le(mutated.data() + offset, value);
+    const Snapshot snapshot = rechecksum(std::move(mutated), ref.payload_begin);
+    EXPECT_FALSE(snapshot.empty()) << "trailer recomputation failed";
+    core::FlexTlcFtl target(config);
+    return snapshot.restore(target);
+  };
+  const std::size_t at = ref.first_mapped_address;
+  EXPECT_TRUE(restores_with_u32(at, ser::load_le<std::uint32_t>(bytes.data() + at)));
+  EXPECT_FALSE(restores_with_u32(at, 1'000'000));                                 // chip
+  EXPECT_FALSE(restores_with_u32(at + 4, config.geometry.blocks_per_chip));       // block
+  EXPECT_FALSE(restores_with_u32(at + 8, config.geometry.wordlines_per_block));   // word line
+  EXPECT_FALSE(restores_with_u32(ref.first_free_block, config.geometry.blocks_per_chip));
 }
 
 }  // namespace
