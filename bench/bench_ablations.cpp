@@ -186,28 +186,6 @@ void slc(obs::MetricsReport&) {
   std::printf("the paper's argument against capacity-sacrificing LSB-only designs.\n");
 }
 
-// flexFTL hot/cold stream separation. Skewed workloads mix short-lived
-// host data with long-lived GC copies in the same blocks; separating the
-// streams lets cold blocks stay fully valid while hot blocks die quickly:
-// lower WAF, fewer erasures.
-void hotcold(obs::MetricsReport&) {
-  std::printf("Ablation: flexFTL hot/cold GC-stream separation\n\n");
-  TablePrinter table({"Workload", "separation", "IOPS", "WAF", "erases", "GC copies"});
-  for (const workload::Preset preset :
-       {workload::Preset::kVarmail, workload::Preset::kNtrx}) {
-    for (const bool separate : {false, true}) {
-      sim::ExperimentSpec spec = ablation_spec();
-      spec.ftl_config.separate_gc_stream = separate;
-      const sim::SimResult r = run_experiment(sim::FtlKind::kFlex, preset, spec);
-      table.add_row({workload::to_string(preset), separate ? "on" : "off", iops(r),
-                     TablePrinter::fmt(r.waf(), 3), count(r.erases),
-                     count(r.ftl_stats.gc_copy_pages)});
-      std::fflush(stdout);
-    }
-  }
-  print_table(table);
-}
-
 // Static wear leveling under a skewed workload. Wear evenness is Fig. 8(b)'s
 // device-level counterpart: a hot/cold split concentrates erases on the
 // blocks cycling the hot data, and the device dies by its hottest block.
@@ -270,8 +248,7 @@ struct Ablation {
 
 constexpr Ablation kAblations[] = {
     {"quota", quota},         {"thresholds", thresholds}, {"rtf_pool", rtf_pool},
-    {"predictor", predictor}, {"slc", slc},               {"hotcold", hotcold},
-    {"wear", wear},
+    {"predictor", predictor}, {"slc", slc},               {"wear", wear},
 };
 
 }  // namespace

@@ -12,9 +12,13 @@ using namespace rps;
 
 int main(int argc, char** argv) {
   sim::ExperimentSpec spec = bench::fig8_spec();
-  spec.requests = sim::parse_requests_flag(argc, argv, spec.requests);
+  const Result<std::uint64_t> requests =
+      sim::parse_requests_flag(argc, argv, spec.requests);
+  if (!requests.is_ok()) return 2;
+  spec.requests = requests.value();
   if (!bench::apply_geometry_flag(argc, argv, spec)) return 2;
-  const std::uint32_t jobs = sim::parse_jobs_flag(argc, argv);
+  const Result<std::uint32_t> jobs = sim::parse_jobs_flag(argc, argv);
+  if (!jobs.is_ok()) return 2;
   std::printf("Fig. 8(a): normalized IOPS, 4 FTLs x 5 workloads\n");
   std::printf("(%llu requests per run; IOPS over makespan, closed-loop think time)\n\n",
               static_cast<unsigned long long>(spec.requests));
@@ -24,7 +28,7 @@ int main(int argc, char** argv) {
   // All 20 preset x FTL experiments fan out jobs-wide; the matrix comes
   // back in loop order, so the table below is identical at any --jobs.
   const std::vector<std::vector<sim::SimResult>> matrix =
-      sim::run_preset_matrix(presets, spec, jobs);
+      sim::run_preset_matrix(presets, spec, jobs.value());
 
   TablePrinter table({"Workload", "pageFTL", "parityFTL", "rtfFTL", "flexFTL",
                       "flex/page", "flex/parity", "flex/rtf"});

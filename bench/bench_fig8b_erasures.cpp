@@ -11,16 +11,20 @@ using namespace rps;
 
 int main(int argc, char** argv) {
   sim::ExperimentSpec spec = bench::fig8_spec();
-  spec.requests = sim::parse_requests_flag(argc, argv, spec.requests);
+  const Result<std::uint64_t> requests =
+      sim::parse_requests_flag(argc, argv, spec.requests);
+  if (!requests.is_ok()) return 2;
+  spec.requests = requests.value();
   if (!bench::apply_geometry_flag(argc, argv, spec)) return 2;
-  const std::uint32_t jobs = sim::parse_jobs_flag(argc, argv);
+  const Result<std::uint32_t> jobs = sim::parse_jobs_flag(argc, argv);
+  if (!jobs.is_ok()) return 2;
   std::printf("Fig. 8(b): normalized block erasure counts, 4 FTLs x 5 workloads\n");
   std::printf("(erasures during the measured run, normalized to pageFTL)\n\n");
 
   const std::vector<workload::Preset> presets(std::begin(workload::kAllPresets),
                                               std::end(workload::kAllPresets));
   const std::vector<std::vector<sim::SimResult>> matrix =
-      sim::run_preset_matrix(presets, spec, jobs);
+      sim::run_preset_matrix(presets, spec, jobs.value());
 
   TablePrinter table({"Workload", "pageFTL", "parityFTL", "rtfFTL", "flexFTL",
                       "flex vs parity", "flex vs rtf", "backup pages (flex/parity/rtf)"});

@@ -24,13 +24,17 @@ double mbps(std::uint64_t kbps) { return static_cast<double>(kbps) / 1000.0; }
 int main(int argc, char** argv) {
   sim::ExperimentSpec spec = bench::fig8_spec();
   spec.sim.bw_window_us = 50'000;
-  spec.requests = sim::parse_requests_flag(argc, argv, spec.requests);
+  const Result<std::uint64_t> requests =
+      sim::parse_requests_flag(argc, argv, spec.requests);
+  if (!requests.is_ok()) return 2;
+  spec.requests = requests.value();
   if (!bench::apply_geometry_flag(argc, argv, spec)) return 2;
-  const std::uint32_t jobs = sim::parse_jobs_flag(argc, argv);
+  const Result<std::uint32_t> jobs = sim::parse_jobs_flag(argc, argv);
+  if (!jobs.is_ok()) return 2;
   std::printf("Fig. 8(c): CDF of write bandwidth for Varmail (50 ms windows)\n\n");
 
   const std::vector<sim::SimResult> results =
-      run_all_ftls(workload::Preset::kVarmail, spec, jobs);
+      run_all_ftls(workload::Preset::kVarmail, spec, jobs.value());
 
   // CDF table: fraction of windows with bandwidth <= x. Sourced from the
   // mergeable KB/s histogram — the same numbers for any --jobs value.

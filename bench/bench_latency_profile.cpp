@@ -16,7 +16,9 @@ using namespace rps;
 
 int main(int argc, char** argv) {
   sim::ExperimentSpec spec = bench::fig8_spec();
-  spec.requests = sim::parse_requests_flag(argc, argv, 150'000);
+  const Result<std::uint64_t> requests = sim::parse_requests_flag(argc, argv, 150'000);
+  if (!requests.is_ok()) return 2;
+  spec.requests = requests.value();
   if (!bench::apply_geometry_flag(argc, argv, spec)) return 2;
   std::printf("Latency profile: per-request latency percentiles (us)\n\n");
 

@@ -65,7 +65,8 @@ void sweep(const char* title, const std::vector<reliability::StressCondition>& p
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint32_t jobs = sim::parse_jobs_flag(argc, argv);
+  const Result<std::uint32_t> jobs = sim::parse_jobs_flag(argc, argv);
+  if (!jobs.is_ok()) return 2;
   std::printf("Reliability sweep: RPS vs FPS BER across the lifetime envelope\n\n");
 
   sweep("P/E cycling sweep (fresh retention):",
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
           std::snprintf(buffer, sizeof buffer, "%5.0f P/E", s.pe_cycles);
           return std::string(buffer);
         },
-        jobs);
+        jobs.value());
 
   sweep("Retention sweep (at 3K P/E):",
         {{3000, 0}, {3000, 30}, {3000, 90}, {3000, 365}, {3000, 730}},
@@ -84,6 +85,6 @@ int main(int argc, char** argv) {
           std::snprintf(buffer, sizeof buffer, "%4.0f days", s.retention_days);
           return std::string(buffer);
         },
-        jobs);
+        jobs.value());
   return 0;
 }

@@ -31,7 +31,8 @@ std::string ratio_string(double read_fraction) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint32_t jobs = sim::parse_jobs_flag(argc, argv);
+  const Result<std::uint32_t> jobs = sim::parse_jobs_flag(argc, argv);
+  if (!jobs.is_ok()) return 2;
   std::printf("Table 1: I/O characteristics of the five benchmark workloads\n");
   std::printf("(paper: OLTP 7:3 very high; NTRX 3:7 very high; Webserver 4:1\n");
   std::printf(" moderate; Varmail 1:1 high; Fileserver 1:2 high)\n\n");
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
   const std::vector<workload::Preset> presets(std::begin(workload::kAllPresets),
                                               std::end(workload::kAllPresets));
   std::vector<workload::TraceStats> stats(presets.size());
-  util::parallel_for_indexed(presets.size(), jobs, [&](std::size_t p) {
+  util::parallel_for_indexed(presets.size(), jobs.value(), [&](std::size_t p) {
     const workload::Trace trace = workload::generate(
         workload::preset_config(presets[p], working_set, 200'000, 1));
     stats[p] = trace.stats(/*idle_threshold_us=*/20'000);

@@ -5,7 +5,7 @@
 // consecutive fast run instead of FPS's three-page prefix.
 #include <cstdio>
 
-#include "src/core/flex_tlc_ftl.hpp"
+#include "src/core/flex_ftl.hpp"
 #include "src/nand/program_order.hpp"
 #include "src/reliability/tlc_study.hpp"
 #include "src/util/stats.hpp"
@@ -97,12 +97,12 @@ int main() {
   }
   std::printf("%s\n", reliability.to_string().c_str());
 
-  // 3PO burst absorption on the full flexFTL-TLC stack: under buffer
+  // 3PO burst absorption on flexFTL with 3-bit cells: under buffer
   // pressure the whole burst rides the 400 us LSB pass; the shadow-order
   // average would be (400+1100+2600)/3 = 1367 us per page.
   std::printf("flexFTL-TLC burst absorption (3PO):\n");
-  const core::TlcFtlConfig ftl_config;  // 2x2 chips, 64 blocks of 32 word lines
-  core::FlexTlcFtl ftl(ftl_config);
+  const ftl::FtlConfig ftl_config = ftl::FtlConfig::tlc();  // 2x2 chips, 64 blocks of 32 WLs
+  core::FlexFtl ftl(ftl_config);
   const Lpn burst = 512;
   for (Lpn lpn = 0; lpn < burst; ++lpn) {
     (void)ftl.write(lpn, 0, /*buffer_utilization=*/0.95);
@@ -115,9 +115,11 @@ int main() {
               static_cast<unsigned long long>(burst), static_cast<long long>(drain),
               per_page, static_cast<long long>(ftl_config.timing.program_lsb_us),
               (400.0 + 1100.0 + 2600.0) / 3.0);
+  const ftl::FtlStats& stats = ftl.stats();
   std::printf("  host writes by pass (L/C/M): %llu / %llu / %llu\n",
-              static_cast<unsigned long long>(ftl.stats().host_writes_by_pass[0]),
-              static_cast<unsigned long long>(ftl.stats().host_writes_by_pass[1]),
-              static_cast<unsigned long long>(ftl.stats().host_writes_by_pass[2]));
+              static_cast<unsigned long long>(stats.host_lsb_writes),
+              static_cast<unsigned long long>(stats.host_write_pages - stats.host_lsb_writes -
+                                              stats.host_msb_writes),
+              static_cast<unsigned long long>(stats.host_msb_writes));
   return 0;
 }

@@ -22,6 +22,7 @@ PolicyManager::Params policy_params(const ftl::FtlConfig& config) {
   p.initial_quota =
       static_cast<std::int64_t>(total_lsb_pages * config.initial_quota_fraction);
   p.chips = config.geometry.num_units();
+  p.passes = config.geometry.bits_per_cell;
   return p;
 }
 
@@ -29,14 +30,19 @@ PolicyManager::Params policy_params(const ftl::FtlConfig& config) {
 
 FlexFtl::FlexFtl(const ftl::FtlConfig& config)
     : FtlBase(config, nand::SequenceKind::kRps),
+      passes_(config.geometry.bits_per_cell),
       chips_(config.geometry.num_units()),
       policy_(policy_params(config)) {
   // A chip's parity tables key on its own block numbers, so blocks_per_chip
   // bounds their population — reserving up front keeps the per-write
   // coverage bookkeeping rehash-free for the whole run.
   for (ChipState& chip : chips_) {
+    chip.queues.resize(passes_ - 1);
+    chip.acc.resize(passes_ - 1);
+    chip.parity_page.resize(passes_ - 1);
+    chip.retire_log.resize(passes_ - 1);
     chip.parity_durable.reserve(config.geometry.blocks_per_chip);
-    chip.parity_page.reserve(config.geometry.blocks_per_chip);
+    for (ParityMap& pages : chip.parity_page) pages.reserve(config.geometry.blocks_per_chip);
   }
 }
 
@@ -46,102 +52,158 @@ nand::PageImage FlexFtl::zeroed_parity() {
   return d;
 }
 
-Result<Microseconds> FlexFtl::write_lsb(std::uint32_t chip, Lpn lpn,
-                                        nand::PageData data, Microseconds now,
-                                        bool gc, bool cold) {
+std::size_t FlexFtl::queued_blocks(const ChipState& chip) {
+  std::size_t blocks = 0;
+  for (const RingBuffer<std::uint32_t>& queue : chip.queues) blocks += queue.size();
+  return blocks;
+}
+
+std::uint32_t FlexFtl::open_passes(const ChipState& chip) {
+  std::uint32_t open = 0;
+  for (std::size_t p = 1; p <= chip.queues.size(); ++p) {
+    if (!chip.queues[p - 1].empty()) open |= 1u << p;
+  }
+  return open;
+}
+
+Result<Microseconds> FlexFtl::write_pass(std::uint32_t chip, std::uint32_t pass, Lpn lpn,
+                                         nand::PageData data, Microseconds now, bool gc) {
   ChipState& cs = chips_.at(chip);
-  std::optional<std::uint32_t>& fast_slot = cold ? cs.cold_fast : cs.fast;
-  nand::PageImage& acc = cold ? cs.cold_acc : cs.parity_acc;
-  RingBuffer<std::uint32_t>& queue = cold ? cs.cold_sbqueue : cs.sbqueue;
-  if (!fast_slot) {
+  const std::uint32_t last = passes_ - 1;
+  if (pass == 0 && !cs.fast) {
     // Host-path allocation may trigger foreground GC whose copies recurse
-    // into write_lsb and install a fast block; re-check before installing
+    // into write_pass and install a fast block; re-check before installing
     // our own (clobbering it would orphan a half-filled active block).
     if (!gc && blocks_.free_blocks(chip) <= config_.gc_reserve_blocks) {
       const Status freed = ensure_free_block(chip, now);
-      if (!freed.is_ok() && !fast_slot) return freed.code();
+      if (!freed.is_ok() && !cs.fast) return freed.code();
     }
-    if (!fast_slot) {
+    if (!cs.fast) {
       Result<std::uint32_t> block = blocks_.allocate(
           chip, ftl::BlockUse::kActive, gc ? 0 : config_.gc_reserve_blocks);
       if (!block.is_ok()) return block.code();
-      fast_slot = block.value();
-      acc = zeroed_parity();
+      cs.fast = block.value();
     }
   }
+  if (pass > 0 && cs.queues[pass - 1].empty()) return ErrorCode::kNoFreePage;
+  // The head of a pass queue is that pass's active block (Section 3.1).
+  const std::uint32_t target = pass == 0 ? *cs.fast : cs.queues[pass - 1].front();
+  nand::Block& block = device_.block_mut({chip, target});
+  const nand::PageType type = nand::type_of_pass(pass, passes_);
+  const std::optional<nand::PagePos> pos =
+      pass == 0 ? block.next_lsb() : block.next_in_pass(type);
+  assert(pos.has_value());  // invariant: an active block has space in its pass
+  const nand::PageAddress addr{chip, target, *pos};
 
-  const std::uint32_t fast = *fast_slot;
-  nand::Block& block = device_.block_mut({chip, fast});
-  const std::optional<nand::PagePos> pos = block.next_lsb();
-  assert(pos.has_value());  // invariant: an active fast block has LSB space
-  const nand::PageAddress addr{chip, fast, *pos};
-
-  // The parity page buffer accumulates every LSB record and its payload.
-  acc.xor_with(data, device_.payloads().find(data.signature));
-  Result<nand::OpTiming> timing = device_.program(addr, data, now);
+  // A later pass destroys the lower pages of its word line if the power
+  // fails mid-program, so the block's latest parity page must be durable
+  // before the pass begins; normally it became durable long ago.
+  Microseconds start = now;
+  if (pass > 0) {
+    const auto durable = cs.parity_durable.find(target);
+    if (durable != cs.parity_durable.end()) start = std::max(start, durable->second);
+  }
+  if (pass < last) {
+    // The pass's parity page buffer accumulates every record and payload.
+    if (block.programmed_in_pass(type) == 0) cs.acc[pass] = zeroed_parity();
+    cs.acc[pass].xor_with(data, device_.payloads().find(data.signature));
+  }
+  Result<nand::OpTiming> timing = device_.program(addr, std::move(data), start);
   assert(timing.is_ok());
+  const Microseconds complete = timing.value().complete;
   commit_mapping(lpn, addr);
-  policy_.note_lsb_write();
-  if (!gc) {
-    ++stats_.host_lsb_writes;
-    ++lsb_since_idle_;
-  }
-
-  if (!block.next_lsb()) {
-    // Last LSB page written: flush the accumulated parity page, then the
-    // block joins its slow-block queue (Fig. 6's fast -> slow transition).
-    if (trace_ != nullptr) {
-      trace_->record(obs::EventKind::kBlockFastToSlow, chip + 1,
-                     timing.value().complete, -1, fast);
+  // The quota: pass 0 spends, the final pass repays, middle passes are
+  // neutral.
+  if (pass == 0) {
+    policy_.note_lsb_write();
+    if (!gc) {
+      ++stats_.host_lsb_writes;
+      ++lsb_since_idle_;
     }
-    flush_parity_from(chip, fast, acc, timing.value().complete);
-    queue.push_back(fast);
-    fast_slot.reset();
+  } else if (pass == last) {
+    policy_.note_msb_write();
+    if (!gc) ++stats_.host_msb_writes;
   }
-  return timing.value().complete;
+  if (block.programmed_in_pass(type) < block.wordlines()) return complete;
+
+  if (pass < last) {
+    // The pass is complete: flush its parity page, then the block joins
+    // the next pass's queue (Fig. 6's fast -> slow transition at n = 2).
+    if (pass == 0 && trace_ != nullptr) {
+      trace_->record(obs::EventKind::kBlockFastToSlow, chip + 1, complete, -1, target);
+    }
+    flush_parity(chip, target, pass, complete);
+    if (pass == 0) {
+      cs.fast.reset();
+    } else {
+      cs.queues[pass - 1].pop_front();
+    }
+    cs.queues[pass].push_back(target);
+    return complete;
+  }
+
+  // Slow -> full transition: the block's parity pages are no longer
+  // needed. The bookkeeping retires them eagerly (deferring it would shift
+  // free-pool dynamics), but the retirement only becomes *irrevocable*
+  // once this final program completes — until then a power cut destroys
+  // the lower pages of its word line with those parity pages as their
+  // only copy. Log them so recovery can void the retirement; the parity
+  // media survives the cut because any backup-block erase the release
+  // charges starts after `complete` and is voided by the chip's
+  // lazy-erase power-loss rules.
+  blocks_.set_use({chip, target}, ftl::BlockUse::kFull);
+  cs.queues[last - 1].pop_front();
+  if (trace_ != nullptr) {
+    trace_->record(obs::EventKind::kBlockSlowToFull, chip + 1, complete, -1, target);
+  }
+  prune_retire_log(chip, timing.value().start);
+  for (std::uint32_t p = 0; p < last; ++p) {
+    const auto parity_it = cs.parity_page[p].find(target);
+    if (parity_it != cs.parity_page[p].end()) {
+      cs.retire_log[p].push_back({target, complete, parity_it->second});
+    }
+    invalidate_parity(chip, target, p, complete);
+  }
+  return complete;
 }
 
-Microseconds FlexFtl::flush_parity(std::uint32_t chip, std::uint32_t fast_block,
-                                   Microseconds now) {
-  return flush_parity_from(chip, fast_block, chips_.at(chip).parity_acc, now);
-}
-
-Microseconds FlexFtl::flush_parity_from(std::uint32_t chip, std::uint32_t fast_block,
-                                        const nand::PageImage& acc, Microseconds now) {
+Microseconds FlexFtl::flush_parity(std::uint32_t chip, std::uint32_t block,
+                                   std::uint32_t pass, Microseconds now) {
   // Attribution: the parity program is backup overhead, whatever write
-  // path (host LSB completion, GC) triggered the flush.
+  // path (host pass completion, GC) triggered the flush.
   const nand::CauseScope cause(device_, nand::WriteCause::kParity);
   ChipState& cs = chips_.at(chip);
   if (!cs.backup) {
     // Never take the final free block: GC depends on it as a relocation
-    // destination when the SBQueue is empty.
-    Result<std::uint32_t> block =
+    // destination when every pass queue is empty.
+    Result<std::uint32_t> fresh =
         blocks_.allocate(chip, ftl::BlockUse::kBackup, /*reserve=*/1);
-    if (!block.is_ok()) {
-      // No backup space: the block proceeds unprotected (counted, and the
+    if (!fresh.is_ok()) {
+      // No backup space: the pass proceeds unprotected (counted, and the
       // recovery path reports such pages as lost).
       ++skipped_backups_;
       if (trace_ != nullptr) {
-        trace_->record(obs::EventKind::kParityFlush, chip + 1, now, -1,
-                       fast_block, 0, /*skipped=*/1);
+        trace_->record(obs::EventKind::kParityFlush, chip + 1, now, -1, block, 0,
+                       /*skipped=*/1);
       }
       return now;
     }
-    cs.backup = BackupBlock{.block = block.value(), .next_lsb = 0, .live_pages = 0};
+    cs.backup = BackupBlock{.block = fresh.value(), .next_lsb = 0, .live_pages = 0};
   }
 
   // Parity pages go to the backup block's LSB pages only (footnote 2) —
   // consecutive LSB programs are exactly what RPS makes legal.
   const nand::PageAddress dst{chip, cs.backup->block,
                               {cs.backup->next_lsb, nand::PageType::kLsb}};
-  // The parity page is the XOR of the block's LSB pages — including their
-  // LPN fields, which is what lets recovery reconstruct a lost page's LPN.
-  // Only the spare word is claimed for the inverse map (host pages keep
-  // spare = 0, so recovery can still XOR it away).
+  // The parity page is the XOR of the block's pages in the pass —
+  // including their LPN fields, which is what lets recovery reconstruct a
+  // lost page's LPN. Only the spare word is claimed for the inverse map
+  // (host pages keep spare = 0, so recovery can still XOR it away).
+  const nand::PageImage& acc = cs.acc[pass];
   nand::PageData parity = acc.record;
   // Inverse map for power-off recovery, plus the metadata flag that keeps
   // mapping reconstruction from mistaking the parity page for host data.
-  parity.spare = fast_block | nand::kNonHostSpareFlag;
+  parity.spare = block | nand::kNonHostSpareFlag;
   const nand::PayloadPin payload(device_.payloads(), parity.signature, acc.bytes);
   Result<nand::OpTiming> timing = device_.program(dst, parity, now);
   assert(timing.is_ok());
@@ -150,13 +212,13 @@ Microseconds FlexFtl::flush_parity_from(std::uint32_t chip, std::uint32_t fast_b
   blocks_.add_written({chip, cs.backup->block});
   ++stats_.backup_pages;
 
-  util::recycled_assign(cs.parity_page, cs.page_spares, fast_block, dst);
-  util::recycled_assign(cs.parity_durable, cs.durable_spares, fast_block,
+  util::recycled_assign(cs.parity_page[pass], cs.page_spares, block, dst);
+  util::recycled_assign(cs.parity_durable, cs.durable_spares, block,
                         timing.value().complete);
 
   if (trace_ != nullptr) {
     trace_->record(obs::EventKind::kParityFlush, chip + 1, now,
-                   timing.value().complete - now, fast_block, dst.block,
+                   timing.value().complete - now, block, dst.block,
                    /*skipped=*/0);
   }
 
@@ -167,17 +229,18 @@ Microseconds FlexFtl::flush_parity_from(std::uint32_t chip, std::uint32_t fast_b
   return timing.value().complete;
 }
 
-void FlexFtl::invalidate_parity(std::uint32_t chip, std::uint32_t slow_block,
-                                Microseconds now) {
+void FlexFtl::invalidate_parity(std::uint32_t chip, std::uint32_t block,
+                                std::uint32_t pass, Microseconds now) {
   ChipState& cs = chips_.at(chip);
-  const auto durable = cs.parity_durable.find(slow_block);
+  const auto durable = cs.parity_durable.find(block);
   if (durable != cs.parity_durable.end()) {
     util::recycled_erase(cs.parity_durable, cs.durable_spares, durable);
   }
-  const auto it = cs.parity_page.find(slow_block);
-  if (it == cs.parity_page.end()) return;  // was never protected
+  ParityMap& pages = cs.parity_page[pass];
+  const auto it = pages.find(block);
+  if (it == pages.end()) return;  // was never protected
   const std::uint32_t backup_block = it->second.block;
-  util::recycled_erase(cs.parity_page, cs.page_spares, it);
+  util::recycled_erase(pages, cs.page_spares, it);
   release_parity_page(chip, backup_block, now);
 }
 
@@ -207,111 +270,46 @@ void FlexFtl::release_parity_page(std::uint32_t chip, std::uint32_t backup_block
 }
 
 void FlexFtl::prune_retire_log(std::uint32_t chip, Microseconds now) {
-  std::vector<ChipState::RetirementLogEntry>& log = chips_.at(chip).retire_log;
-  std::erase_if(log, [now](const ChipState::RetirementLogEntry& entry) {
-    return entry.at <= now;
-  });
-}
-
-Result<Microseconds> FlexFtl::write_msb(std::uint32_t chip, Lpn lpn,
-                                        nand::PageData data, Microseconds now,
-                                        bool gc, bool prefer_cold) {
-  ChipState& cs = chips_.at(chip);
-  // Stream preference with cross-stream fallback (deadlock safety).
-  RingBuffer<std::uint32_t>* queue = prefer_cold ? &cs.cold_sbqueue : &cs.sbqueue;
-  RingBuffer<std::uint32_t>* other = prefer_cold ? &cs.sbqueue : &cs.cold_sbqueue;
-  if (queue->empty()) queue = other;
-  if (queue->empty()) return ErrorCode::kNoFreePage;
-  // FIFO: the head of the SBQueue is the active slow block (Section 3.1).
-  const std::uint32_t slow = queue->front();
-  nand::Block& block = device_.block_mut({chip, slow});
-  const std::optional<nand::PagePos> pos = block.next_in_pass(nand::PageType::kMsb);
-  assert(pos.has_value());  // invariant: SBQueue blocks have MSB space
-
-  // The block's parity page must be durable before its (destructive) MSB
-  // phase begins; normally it became durable long ago.
-  Microseconds start = now;
-  const auto durable = cs.parity_durable.find(slow);
-  if (durable != cs.parity_durable.end()) start = std::max(start, durable->second);
-
-  const nand::PageAddress addr{chip, slow, *pos};
-  Result<nand::OpTiming> timing = device_.program(addr, std::move(data), start);
-  assert(timing.is_ok());
-  commit_mapping(lpn, addr);
-  policy_.note_msb_write();
-  if (!gc) ++stats_.host_msb_writes;
-
-  if (block.is_fully_programmed()) {
-    // Slow -> full transition: the backup parity page is no longer needed.
-    // The bookkeeping retires eagerly (deferring it would shift free-pool
-    // dynamics), but the retirement only becomes *irrevocable* once this
-    // final MSB program completes — until then a power cut destroys the
-    // paired LSB page with that parity page as its only copy. Log it so
-    // recovery can void it; the parity media survives the cut because any
-    // backup-block erase the release charges starts after `complete` and
-    // is voided by the chip's lazy-erase power-loss rules.
-    blocks_.set_use({chip, slow}, ftl::BlockUse::kFull);
-    queue->pop_front();
-    if (trace_ != nullptr) {
-      trace_->record(obs::EventKind::kBlockSlowToFull, chip + 1,
-                     timing.value().complete, -1, slow);
-    }
-    prune_retire_log(chip, timing.value().start);
-    const auto parity_it = cs.parity_page.find(slow);
-    if (parity_it != cs.parity_page.end()) {
-      cs.retire_log.push_back({slow, timing.value().complete, parity_it->second});
-    }
-    invalidate_parity(chip, slow, timing.value().complete);
+  for (std::vector<RetirementLogEntry>& log : chips_.at(chip).retire_log) {
+    std::erase_if(log, [now](const RetirementLogEntry& entry) { return entry.at <= now; });
   }
-  return timing.value().complete;
 }
 
 Result<Microseconds> FlexFtl::allocate_host_page(std::uint32_t chip, Lpn lpn,
                                                  nand::PageData data, Microseconds now,
                                                  double buffer_utilization) {
-  ChipState& cs = chips_.at(chip);
-  const bool has_slow = !cs.sbqueue.empty() || !cs.cold_sbqueue.empty();
-  nand::PageType choice = policy_.choose(chip, buffer_utilization, has_slow);
+  const ChipState& cs = chips_.at(chip);
+  const std::uint32_t open = open_passes(cs);
+  std::uint32_t pass = policy_.choose(chip, buffer_utilization, open);
 
   // Block-pool-status feedback (Fig. 5: the block pool manager reports its
   // state to the page allocator to balance page-type consumption): when
-  // free LSB capacity is nearly exhausted but MSB capacity is banked in the
-  // SBQueue, consume MSB pages instead of forcing foreground GC.
-  if (choice == nand::PageType::kLsb && has_slow) {
+  // free LSB capacity is nearly exhausted but later-pass capacity is
+  // banked in the queues, consume the slowest open pass instead of forcing
+  // foreground GC.
+  if (pass == 0 && open != 0) {
     const bool lsb_starved =
         blocks_.free_blocks(chip) <= config_.gc_reserve_blocks + 2 && !cs.fast;
-    const bool sbqueue_bloated =
-        cs.sbqueue.size() + cs.cold_sbqueue.size() >
-        device_.geometry().blocks_per_chip / 2;
-    if (lsb_starved || sbqueue_bloated) choice = nand::PageType::kMsb;
+    const bool queues_bloated =
+        queued_blocks(cs) > device_.geometry().blocks_per_chip / 2;
+    if (lsb_starved || queues_bloated) pass = highest_open_pass(open);
   }
-
-  // choose() only picks MSB when a slow block exists (footnote 1).
-  if (choice == nand::PageType::kMsb && has_slow) {
-    return write_msb(chip, lpn, std::move(data), now, /*gc=*/false);
-  }
-  return write_lsb(chip, lpn, std::move(data), now, /*gc=*/false);
+  return write_pass(chip, pass, lpn, std::move(data), now, /*gc=*/false);
 }
 
 Result<Microseconds> FlexFtl::allocate_gc_page(std::uint32_t chip, Lpn lpn,
                                                nand::PageData data, Microseconds now,
                                                bool background) {
   (void)background;
-  // GC copies consume slow MSB pages (raising q); LSB only as a fallback.
-  // With hot/cold separation on, copies live in their own stream.
-  const bool cold = config_.separate_gc_stream;
-  ChipState& cs = chips_.at(chip);
-  const bool has_slow = !cs.sbqueue.empty() || !cs.cold_sbqueue.empty();
-  if (has_slow) {
-    return write_msb(chip, lpn, std::move(data), now, /*gc=*/true,
-                     /*prefer_cold=*/cold);
-  }
-  return write_lsb(chip, lpn, std::move(data), now, /*gc=*/true, /*cold=*/cold);
+  // GC copies consume the slowest open pass (MSB pages raise q); LSB only
+  // as a fallback.
+  return write_pass(chip, highest_open_pass(open_passes(chips_.at(chip))), lpn,
+                    std::move(data), now, /*gc=*/true);
 }
 
 void FlexFtl::on_idle_plan(Microseconds now, Microseconds deadline) {
-  // Grace windows whose final MSB completed by now are settled: their log
-  // entries can never be voided anymore.
+  // Grace windows whose final program completed by now are settled: their
+  // log entries can never be voided anymore.
   for (std::uint32_t chip = 0; chip < chips_.size(); ++chip) {
     prune_retire_log(chip, now);
   }
@@ -344,8 +342,7 @@ void FlexFtl::on_idle_plan(Microseconds now, Microseconds deadline) {
   std::uint32_t stalled = 0;
   std::uint32_t chip = bgc_rr_chip_ % chips;
   while (policy_.quota() < target && stalled < chips) {
-    const bool msb_available = !chips_[chip].sbqueue.empty() ||
-                               !chips_[chip].cold_sbqueue.empty();
+    const bool msb_available = !chips_[chip].queues.back().empty();
     if (!msb_available || device_.chip(chip).busy_until() >= deadline ||
         blocks_.best_victim_gain(chip) <
             blocks_.pages_per_block() / config_.bgc_min_yield_divisor) {
@@ -369,6 +366,24 @@ void FlexFtl::on_idle_plan(Microseconds now, Microseconds deadline) {
   }
 }
 
+bool FlexFtl::roll_back(Lpn lpn, const nand::PageAddress& destroyed) {
+  const nand::BlockAddress from{destroyed.chip, destroyed.block};
+  const std::optional<nand::PageAddress> source = find_newest_copy(lpn, destroyed);
+  if (!source) {
+    mapping_.unmap(lpn);
+    blocks_.remove_valid(from);
+    return false;
+  }
+  // The older copy may sit in a GC victim block whose erase the power loss
+  // voided (it was charged after the cut): pull it back out of the free
+  // pool before hanging valid pages off it.
+  blocks_.reclaim({source->chip, source->block}, ftl::BlockUse::kFull);
+  mapping_.update(lpn, *source);  // returns `destroyed`; fix the counters
+  blocks_.remove_valid(from);
+  blocks_.add_valid({source->chip, source->block});
+  return true;
+}
+
 std::optional<Lpn> FlexFtl::find_lpn_of(const nand::PageAddress& addr) const {
   for (Lpn lpn = 0; lpn < mapping_.exported_pages(); ++lpn) {
     if (mapping_.maps_to(lpn, addr)) return lpn;
@@ -387,8 +402,8 @@ std::optional<nand::PageAddress> FlexFtl::find_newest_copy(
       const nand::Block& block = device_.block({chip, b});
       if (block.is_erased()) continue;
       for (std::uint32_t wl = 0; wl < geometry.wordlines_per_block; ++wl) {
-        for (const nand::PageType type : {nand::PageType::kLsb, nand::PageType::kMsb}) {
-          const nand::PagePos pos{wl, type};
+        for (std::uint32_t p = 0; p < passes_; ++p) {
+          const nand::PagePos pos{wl, nand::type_of_pass(p, passes_)};
           const nand::PageAddress addr{chip, b, pos};
           if (addr == exclude) continue;
           if (block.page_state(pos) != nand::PageState::kValid) continue;
@@ -416,38 +431,41 @@ void save_address(ser::Writer& w, const nand::PageAddress& addr) {
   w.u8(static_cast<std::uint8_t>(addr.pos.type));
 }
 
-void load_address(ser::Reader& r, nand::PageAddress& addr) {
+/// Reads a page address; fails the reader unless it names a page of `g`.
+nand::PageAddress load_address(ser::Reader& r, const nand::Geometry& g) {
+  nand::PageAddress addr;
   addr.chip = r.u32();
   addr.block = r.u32();
   addr.pos.wordline = r.u32();
-  addr.pos.type = static_cast<nand::PageType>(r.u8());
-}
-
-void save_opt_block(ser::Writer& w, const std::optional<std::uint32_t>& block) {
-  w.boolean(block.has_value());
-  w.u32(block.value_or(0));
-}
-
-void load_opt_block(ser::Reader& r, std::optional<std::uint32_t>& block) {
-  const bool has = r.boolean();
-  const std::uint32_t value = r.u32();
-  block = has ? std::optional<std::uint32_t>(value) : std::nullopt;
-}
-
-void save_deque(ser::Writer& w, const RingBuffer<std::uint32_t>& q) {
-  w.u64(q.size());
-  for (std::size_t i = 0; i < q.size(); ++i) w.u32(q[i]);
-}
-
-bool load_deque(ser::Reader& r, RingBuffer<std::uint32_t>& q) {
-  q.clear();
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining()) {
+  const std::uint8_t type = r.u8();
+  addr.pos.type = static_cast<nand::PageType>(type);
+  if (addr.chip >= g.num_units() || addr.block >= g.blocks_per_chip ||
+      addr.pos.wordline >= g.wordlines_per_block || type > 2 ||
+      nand::pass_of(addr.pos.type, g.bits_per_cell) >= g.bits_per_cell) {
     r.fail();
-    return false;
   }
-  for (std::uint64_t i = 0; i < n; ++i) q.push_back(r.u32());
-  return true;
+  return addr;
+}
+
+/// Reads a block index; fails the reader when it is out of range.
+std::uint32_t load_block(ser::Reader& r, std::uint32_t blocks) {
+  const std::uint32_t block = r.u32();
+  if (block >= blocks) r.fail();
+  return block;
+}
+
+/// Reads a count of entries of at least 4 bytes each; fails the reader
+/// when the stream cannot hold them.
+std::uint64_t load_count(ser::Reader& r) {
+  const std::uint64_t n = r.u64();
+  if (n > r.remaining() / 4) r.fail();
+  return r.ok() ? n : 0;
+}
+
+void save_backup(ser::Writer& w, const auto& b) {
+  w.u32(b.block);
+  w.u32(b.next_lsb);
+  w.u32(b.live_pages);
 }
 
 }  // namespace
@@ -455,24 +473,17 @@ bool load_deque(ser::Reader& r, RingBuffer<std::uint32_t>& q) {
 void FlexFtl::save_extra(ser::Writer& w) const {
   w.u64(chips_.size());
   for (const ChipState& chip : chips_) {
-    save_opt_block(w, chip.fast);
-    save_deque(w, chip.sbqueue);
-    nand::save(w, chip.parity_acc);
-    save_opt_block(w, chip.cold_fast);
-    save_deque(w, chip.cold_sbqueue);
-    nand::save(w, chip.cold_acc);
+    w.boolean(chip.fast.has_value());
+    w.u32(chip.fast.value_or(0));
+    for (const RingBuffer<std::uint32_t>& queue : chip.queues) {
+      w.u64(queue.size());
+      for (std::size_t i = 0; i < queue.size(); ++i) w.u32(queue[i]);
+    }
+    for (const nand::PageImage& acc : chip.acc) nand::save(w, acc);
     w.boolean(chip.backup.has_value());
-    if (chip.backup) {
-      w.u32(chip.backup->block);
-      w.u32(chip.backup->next_lsb);
-      w.u32(chip.backup->live_pages);
-    }
+    if (chip.backup) save_backup(w, *chip.backup);
     w.u64(chip.retiring.size());
-    for (const BackupBlock& b : chip.retiring) {
-      w.u32(b.block);
-      w.u32(b.next_lsb);
-      w.u32(b.live_pages);
-    }
+    for (const BackupBlock& b : chip.retiring) save_backup(w, b);
     // Canonical byte stream: hash maps are emitted sorted by block key.
     std::vector<std::pair<std::uint32_t, Microseconds>> durable(
         chip.parity_durable.begin(), chip.parity_durable.end());
@@ -482,20 +493,24 @@ void FlexFtl::save_extra(ser::Writer& w) const {
       w.u32(block);
       w.i64(at);
     }
-    std::vector<std::pair<std::uint32_t, nand::PageAddress>> pages(
-        chip.parity_page.begin(), chip.parity_page.end());
-    std::sort(pages.begin(), pages.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    w.u64(pages.size());
-    for (const auto& [block, addr] : pages) {
-      w.u32(block);
-      save_address(w, addr);
+    for (const ParityMap& parity : chip.parity_page) {
+      std::vector<std::pair<std::uint32_t, nand::PageAddress>> pages(parity.begin(),
+                                                                     parity.end());
+      std::sort(pages.begin(), pages.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      w.u64(pages.size());
+      for (const auto& [block, addr] : pages) {
+        w.u32(block);
+        save_address(w, addr);
+      }
     }
-    w.u64(chip.retire_log.size());
-    for (const ChipState::RetirementLogEntry& entry : chip.retire_log) {
-      w.u32(entry.block);
-      w.i64(entry.at);
-      save_address(w, entry.parity);
+    for (const std::vector<RetirementLogEntry>& log : chip.retire_log) {
+      w.u64(log.size());
+      for (const RetirementLogEntry& entry : log) {
+        w.u32(entry.block);
+        w.i64(entry.at);
+        save_address(w, entry.parity);
+      }
     }
   }
   policy_.save(w);
@@ -505,77 +520,70 @@ void FlexFtl::save_extra(ser::Writer& w) const {
 }
 
 void FlexFtl::load_extra(ser::Reader& r) {
+  // Every block index and page address restored here later indexes a
+  // device or pool array (writes, parity flushes, recovery): out-of-range
+  // values fail the reader even when the stream's checksum holds.
+  const nand::Geometry& g = device_.geometry();
+  const std::uint32_t blocks = g.blocks_per_chip;
+  const auto load_backup = [&](std::uint32_t max_next) {
+    BackupBlock b;
+    b.block = load_block(r, blocks);
+    b.next_lsb = r.u32();
+    b.live_pages = r.u32();
+    if (b.next_lsb > max_next) r.fail();
+    return b;
+  };
   if (r.u64() != chips_.size()) {
     r.fail();
     return;
   }
   for (ChipState& chip : chips_) {
-    load_opt_block(r, chip.fast);
-    if (!load_deque(r, chip.sbqueue)) return;
-    nand::load(r, chip.parity_acc);
-    load_opt_block(r, chip.cold_fast);
-    if (!load_deque(r, chip.cold_sbqueue)) return;
-    nand::load(r, chip.cold_acc);
+    const bool has_fast = r.boolean();
+    const std::uint32_t fast = r.u32();
+    if (has_fast && fast >= blocks) r.fail();
+    chip.fast = has_fast ? std::optional<std::uint32_t>(fast) : std::nullopt;
+    for (RingBuffer<std::uint32_t>& queue : chip.queues) {
+      queue.clear();
+      const std::uint64_t n = load_count(r);
+      for (std::uint64_t i = 0; i < n && r.ok(); ++i) queue.push_back(load_block(r, blocks));
+    }
+    for (nand::PageImage& acc : chip.acc) nand::load(r, acc);
     chip.backup.reset();
-    if (r.boolean()) {
-      BackupBlock b;
-      b.block = r.u32();
-      b.next_lsb = r.u32();
-      b.live_pages = r.u32();
-      chip.backup = b;
-    }
+    // The active backup block is retired on reaching its last word line.
+    if (r.boolean()) chip.backup = load_backup(g.wordlines_per_block - 1);
     chip.retiring.clear();
-    const std::uint64_t retiring = r.u64();
-    if (retiring > r.remaining()) {
-      r.fail();
-      return;
-    }
+    const std::uint64_t retiring = load_count(r);
     chip.retiring.reserve(static_cast<std::size_t>(retiring));
-    for (std::uint64_t i = 0; i < retiring; ++i) {
-      BackupBlock b;
-      b.block = r.u32();
-      b.next_lsb = r.u32();
-      b.live_pages = r.u32();
-      chip.retiring.push_back(b);
+    for (std::uint64_t i = 0; i < retiring && r.ok(); ++i) {
+      chip.retiring.push_back(load_backup(g.wordlines_per_block));
     }
     chip.parity_durable.clear();
-    const std::uint64_t durable = r.u64();
-    if (durable > r.remaining()) {
-      r.fail();
-      return;
-    }
-    chip.parity_durable.reserve(static_cast<std::size_t>(durable));
-    for (std::uint64_t i = 0; i < durable; ++i) {
-      const std::uint32_t block = r.u32();
+    const std::uint64_t durable = load_count(r);
+    for (std::uint64_t i = 0; i < durable && r.ok(); ++i) {
+      const std::uint32_t block = load_block(r, blocks);
       chip.parity_durable.emplace(block, r.i64());
     }
-    chip.parity_page.clear();
-    const std::uint64_t pages = r.u64();
-    if (pages > r.remaining()) {
-      r.fail();
-      return;
+    for (ParityMap& parity : chip.parity_page) {
+      parity.clear();
+      const std::uint64_t pages = load_count(r);
+      for (std::uint64_t i = 0; i < pages && r.ok(); ++i) {
+        const std::uint32_t block = load_block(r, blocks);
+        parity.emplace(block, load_address(r, g));
+      }
     }
-    chip.parity_page.reserve(static_cast<std::size_t>(pages));
-    for (std::uint64_t i = 0; i < pages; ++i) {
-      const std::uint32_t block = r.u32();
-      nand::PageAddress addr;
-      load_address(r, addr);
-      chip.parity_page.emplace(block, addr);
+    for (std::vector<RetirementLogEntry>& log : chip.retire_log) {
+      log.clear();
+      const std::uint64_t entries = load_count(r);
+      log.reserve(static_cast<std::size_t>(entries));
+      for (std::uint64_t i = 0; i < entries && r.ok(); ++i) {
+        RetirementLogEntry entry;
+        entry.block = load_block(r, blocks);
+        entry.at = r.i64();
+        entry.parity = load_address(r, g);
+        log.push_back(entry);
+      }
     }
-    chip.retire_log.clear();
-    const std::uint64_t log = r.u64();
-    if (log > r.remaining()) {
-      r.fail();
-      return;
-    }
-    chip.retire_log.reserve(static_cast<std::size_t>(log));
-    for (std::uint64_t i = 0; i < log; ++i) {
-      ChipState::RetirementLogEntry entry;
-      entry.block = r.u32();
-      entry.at = r.i64();
-      load_address(r, entry.parity);
-      chip.retire_log.push_back(entry);
-    }
+    if (!r.ok()) return;
   }
   policy_.load(r);
   predictor_.load(r);

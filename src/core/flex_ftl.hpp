@@ -1,19 +1,27 @@
-// flexFTL: the paper's RPS-aware FTL (Section 3).
+// flexFTL: the paper's RPS-aware FTL (Section 3), for any number of passes
+// per word line — 2 on MLC (the paper's device), 3 on TLC (the Section 1
+// projection).
 //
-// Blocks are programmed under the relaxed program sequence with two-phase
-// ordering (2PO): all LSB pages first (the block is a *fast block*), then
-// all MSB pages (a *slow block*). Per chip, the block pool manager keeps
-//   - one active fast block serving LSB writes,
-//   - a FIFO slow-block queue (SBQueue) of LSB-full blocks, whose head is
-//     the active slow block serving MSB writes,
+// Blocks are programmed under the relaxed program sequence with n-phase
+// ordering: all LSB pages first (the block is a *fast block*), then each
+// later pass over the whole block in turn, the MSB pass last. MLC's 2PO
+// is n = 2; TLC's 3PO inserts the CSB pass. Per chip, the block pool
+// manager keeps
+//   - one active fast block serving pass 0 (LSB) writes,
+//   - one FIFO queue per later pass of blocks whose previous pass is
+//     complete, whose head is that pass's active block (MLC's slow-block
+//     queue, SBQueue, is the n = 2 case),
 //   - full and free pools.
-// The adaptive page allocator (PolicyManager) picks LSB vs MSB per write
-// from write-buffer utilization and the LSB quota q. While a fast block
-// fills, an XOR parity of all its LSB pages accumulates in the parity page
-// buffer; one parity page per block is flushed to a backup block (to the
-// backup block's LSB pages — legal under RPS) when the last LSB page is
-// written, replacing per-paired-page backups entirely. Background GC
-// relocates with MSB pages during idle time, reclaiming LSB capacity and
+// The adaptive page allocator (PolicyManager) picks the pass per write
+// from write-buffer utilization and the LSB quota q. While a block's lower
+// pass (any pass but the last) fills, an XOR parity of its pages in that
+// pass accumulates in the pass's parity page buffer; one parity page per
+// block and lower pass is flushed to a backup block (to the backup block's
+// LSB pages — legal under RPS) when the pass completes, replacing
+// per-paired-page backups entirely. A later pass waits until the block's
+// latest parity page is durable, because its programs destroy the lower
+// pages of their word line if the power fails. Background GC relocates
+// into the final pass during idle time, reclaiming LSB capacity and
 // raising q for future bursts.
 #pragma once
 
@@ -32,9 +40,9 @@ namespace rps::core {
 
 /// Outcome of the post-power-loss recovery procedure (Section 3.3).
 struct RecoveryReport {
-  std::uint64_t slow_blocks_checked = 0;
-  std::uint64_t fast_blocks_checked = 0;
-  std::uint64_t lsb_pages_read = 0;      // parity recomputation reads
+  std::uint64_t slow_blocks_checked = 0;  // blocks parity-checked
+  std::uint64_t fast_blocks_checked = 0;  // open lower-pass blocks re-accumulated
+  std::uint64_t lsb_pages_read = 0;       // lower-pass pages read for parity
   std::uint64_t parity_pages_read = 0;
   std::uint64_t pages_recovered = 0;     // rebuilt from parity
   std::uint64_t pages_lost = 0;          // unrecoverable (no parity coverage)
@@ -42,9 +50,9 @@ struct RecoveryReport {
   /// Interrupted GC relocation copies rolled back to their still-intact
   /// source pages (the victim block outlives the relocation pass).
   std::uint64_t relocations_rolled_back = 0;
-  /// Slow blocks whose saved parity page was itself destroyed by the cut
-  /// (power failed during the parity flush): the block proceeds
-  /// unprotected, counted — never silently (skipped_parity_backups()).
+  /// Parity pages found destroyed by the cut (power failed during the
+  /// parity flush): the block proceeds with that pass unprotected,
+  /// counted — never silently (skipped_parity_backups()).
   std::uint64_t parity_flush_interrupted = 0;
   Microseconds recovery_time_us = 0;
 
@@ -55,6 +63,7 @@ struct RecoveryReport {
 
 class FlexFtl : public ftl::FtlBase {
  public:
+  /// Runs on a 2-bit (MLC) or 3-bit (TLC) geometry.
   explicit FlexFtl(const ftl::FtlConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "flexFTL"; }
@@ -65,11 +74,13 @@ class FlexFtl : public ftl::FtlBase {
   /// can again be absorbed with fast LSB writes.
   void on_idle_plan(Microseconds now, Microseconds deadline) override;
 
-  /// Power-loss recovery: verifies every slow block's LSB data by parity
-  /// recomputation, rebuilds lost pages from the per-block parity pages,
-  /// discards interrupted unacknowledged writes, and recomputes the parity
-  /// accumulators of active fast blocks. `victims` is what the device
-  /// reported from NandDevice::inject_power_loss.
+  /// Power-loss recovery: verifies every completed lower pass of every
+  /// queued block by parity recomputation, rebuilds lost pages from the
+  /// per-block parity pages (also for a block whose final program the
+  /// cut interrupted), discards interrupted unacknowledged writes, and
+  /// recomputes the parity accumulators of the open lower passes.
+  /// `victims` is what the device reported from
+  /// NandDevice::inject_power_loss.
   RecoveryReport recover_from_power_loss(
       const std::vector<nand::PowerLossVictim>& victims, Microseconds now);
 
@@ -79,29 +90,29 @@ class FlexFtl : public ftl::FtlBase {
   [[nodiscard]] std::optional<std::uint32_t> active_fast_block(std::uint32_t chip) const {
     return chips_.at(chip).fast;
   }
-  [[nodiscard]] std::size_t sbqueue_depth(std::uint32_t chip) const {
-    return chips_.at(chip).sbqueue.size();
+  /// Blocks queued for pass `pass` (1 <= pass < passes()) on `chip`.
+  [[nodiscard]] std::size_t queue_depth(std::uint32_t chip, std::uint32_t pass) const {
+    return chips_.at(chip).queues.at(pass - 1).size();
   }
-  [[nodiscard]] std::size_t cold_sbqueue_depth(std::uint32_t chip) const {
-    return chips_.at(chip).cold_sbqueue.size();
+  /// The slow-block queue: blocks waiting for (or in) the final pass.
+  [[nodiscard]] std::size_t sbqueue_depth(std::uint32_t chip) const {
+    return chips_.at(chip).queues.back().size();
   }
   [[nodiscard]] std::optional<std::uint32_t> active_slow_block(std::uint32_t chip) const {
-    const auto& q = chips_.at(chip).sbqueue;
+    const auto& q = chips_.at(chip).queues.back();
     return q.empty() ? std::nullopt : std::optional<std::uint32_t>(q.front());
   }
   [[nodiscard]] std::uint64_t skipped_parity_backups() const { return skipped_backups_; }
   [[nodiscard]] const WritePredictor& write_predictor() const { return predictor_; }
 
-  /// State-sampling hooks (obs::StateSampler): q, and the total SBQueue
-  /// depth (hot + cold streams) across every chip.
+  /// State-sampling hooks (obs::StateSampler): q, and the total depth of
+  /// every pass queue across every chip.
   [[nodiscard]] std::int64_t observed_lsb_quota() const override {
     return policy_.quota();
   }
   [[nodiscard]] std::uint64_t observed_slow_queue_depth() const override {
     std::uint64_t depth = 0;
-    for (const ChipState& chip : chips_) {
-      depth += chip.sbqueue.size() + chip.cold_sbqueue.size();
-    }
+    for (const ChipState& chip : chips_) depth += queued_blocks(chip);
     return depth;
   }
 
@@ -123,61 +134,68 @@ class FlexFtl : public ftl::FtlBase {
     std::uint32_t live_pages = 0;   // parity pages still protecting a block
   };
 
+  /// Retirement log entry for the final-pass grace window. The full
+  /// transition retires a block's parity pages eagerly (bookkeeping must
+  /// not lag, or free-pool dynamics diverge), but the final program only
+  /// *completes* at `at` — until then a power cut destroys the lower
+  /// pages of its word line and those parity pages are still their only
+  /// copy. Each retirement is logged with the parity page's address;
+  /// recovery voids entries whose `at` lies beyond the cut and re-hooks
+  /// `parity` for reconstruction (the page's media survives the cut: its
+  /// backup block's erase, if one was charged, started after `at` and is
+  /// voided by the lazy-erase power-loss rules). Entries are pruned once
+  /// the chip timeline provably passed `at`.
+  struct RetirementLogEntry {
+    std::uint32_t block = 0;
+    Microseconds at = 0;
+    nand::PageAddress parity;
+  };
+
+  using ParityMap = std::unordered_map<std::uint32_t, nand::PageAddress>;
+  using DurableMap = std::unordered_map<std::uint32_t, Microseconds>;
+
   struct ChipState {
-    std::optional<std::uint32_t> fast;   // active fast block (host stream)
-    RingBuffer<std::uint32_t> sbqueue;  // head = active slow block
-    nand::PageImage parity_acc;          // parity page buffer for `fast`
-    /// Cold stream (GC relocation copies), used when separate_gc_stream:
-    std::optional<std::uint32_t> cold_fast;
-    RingBuffer<std::uint32_t> cold_sbqueue;
-    nand::PageImage cold_acc;
+    std::optional<std::uint32_t> fast;  // active pass-0 block
+    /// queues[p - 1] feeds pass p: blocks whose pass p - 1 is complete,
+    /// head = pass p's active block.
+    std::vector<RingBuffer<std::uint32_t>> queues;
+    /// Per lower pass p: the parity page buffer of pass p's active block.
+    std::vector<nand::PageImage> acc;
     std::optional<BackupBlock> backup;   // current backup block
     std::vector<BackupBlock> retiring;   // full backup blocks, still live
-    /// slow block -> when its parity page became durable (MSB writes wait).
-    std::unordered_map<std::uint32_t, Microseconds> parity_durable;
-    /// slow block -> where its parity page lives.
-    std::unordered_map<std::uint32_t, nand::PageAddress> parity_page;
+    /// block -> when its latest parity page became durable (later passes
+    /// wait for it).
+    DurableMap parity_durable;
+    /// Per lower pass p: block -> where its pass-p parity page lives.
+    std::vector<ParityMap> parity_page;
     /// Banked map nodes: the durable/page insert-erase cycle recycles
     /// nodes instead of churning the heap (util/map_recycle.hpp).
-    std::vector<std::unordered_map<std::uint32_t, Microseconds>::node_type>
-        durable_spares;
-    std::vector<std::unordered_map<std::uint32_t, nand::PageAddress>::node_type>
-        page_spares;
-    /// Retirement log for the final-MSB grace window. The full transition
-    /// retires a block's parity page eagerly (bookkeeping must not lag, or
-    /// free-pool dynamics diverge), but the final MSB program only
-    /// *completes* at `at` — until then a power cut destroys the paired
-    /// LSB page and that parity page is still its only copy. Each
-    /// retirement is logged here with the parity page's address; recovery
-    /// voids entries whose `at` lies beyond the cut and re-hooks `parity`
-    /// for reconstruction (the page's media survives the cut: its backup
-    /// block's erase, if one was charged, started after `at` and is voided
-    /// by the lazy-erase power-loss rules). Entries are pruned once the
-    /// chip timeline provably passed `at`.
-    struct RetirementLogEntry {
-      std::uint32_t block = 0;
-      Microseconds at = 0;
-      nand::PageAddress parity;
-    };
-    std::vector<RetirementLogEntry> retire_log;
+    std::vector<DurableMap::node_type> durable_spares;
+    std::vector<ParityMap::node_type> page_spares;
+    /// Per lower pass p: retirements of pass-p parity pages.
+    std::vector<std::vector<RetirementLogEntry>> retire_log;
   };
 
   static nand::PageImage zeroed_parity();
 
-  Result<Microseconds> write_lsb(std::uint32_t chip, Lpn lpn, nand::PageData data,
-                                 Microseconds now, bool gc, bool cold = false);
-  Result<Microseconds> write_msb(std::uint32_t chip, Lpn lpn, nand::PageData data,
-                                 Microseconds now, bool gc, bool prefer_cold = false);
+  /// Blocks in every pass queue of `chip`.
+  static std::size_t queued_blocks(const ChipState& chip);
+  /// Bit p set for every pass p >= 1 with an open block on `chip`.
+  static std::uint32_t open_passes(const ChipState& chip);
 
-  /// Flush the chip's accumulated parity page for `fast_block` (just
-  /// LSB-completed); returns when it is durable.
-  Microseconds flush_parity(std::uint32_t chip, std::uint32_t fast_block,
+  /// Program `data` as the next page of pass `pass` on `chip`; moves the
+  /// block on when the pass completes (parity flush, next queue, full).
+  Result<Microseconds> write_pass(std::uint32_t chip, std::uint32_t pass, Lpn lpn,
+                                  nand::PageData data, Microseconds now, bool gc);
+
+  /// Flush the chip's pass-`pass` parity page for `block` (whose pass
+  /// just completed); returns when it is durable.
+  Microseconds flush_parity(std::uint32_t chip, std::uint32_t block, std::uint32_t pass,
                             Microseconds now);
-  Microseconds flush_parity_from(std::uint32_t chip, std::uint32_t fast_block,
-                                 const nand::PageImage& acc, Microseconds now);
 
-  /// The slow block finished its MSB phase: its parity page is stale.
-  void invalidate_parity(std::uint32_t chip, std::uint32_t slow_block,
+  /// Drop `block`'s pass-`pass` parity page (and its durability wait):
+  /// the page is stale or its coverage is void.
+  void invalidate_parity(std::uint32_t chip, std::uint32_t block, std::uint32_t pass,
                          Microseconds now);
 
   /// One parity page of `backup_block` went stale: drop its live count,
@@ -185,9 +203,13 @@ class FlexFtl : public ftl::FtlBase {
   void release_parity_page(std::uint32_t chip, std::uint32_t backup_block,
                            Microseconds now);
 
-  /// Drop retirement-log entries settled by time `now` (their final MSB
+  /// Drop retirement-log entries settled by time `now` (their final
   /// program provably completed; no power loss can void them anymore).
   void prune_retire_log(std::uint32_t chip, Microseconds now);
+
+  /// `lpn` is mapped at the `destroyed` page: point it at its newest
+  /// intact copy elsewhere (true), or unmap it when there is none (false).
+  bool roll_back(Lpn lpn, const nand::PageAddress& destroyed);
 
   /// Find the LPN currently mapped to `addr` (linear scan; recovery only).
   [[nodiscard]] std::optional<Lpn> find_lpn_of(const nand::PageAddress& addr) const;
@@ -197,6 +219,7 @@ class FlexFtl : public ftl::FtlBase {
   [[nodiscard]] std::optional<nand::PageAddress> find_newest_copy(
       Lpn lpn, const nand::PageAddress& exclude) const;
 
+  std::uint32_t passes_;
   std::vector<ChipState> chips_;
   PolicyManager policy_;
   WritePredictor predictor_;

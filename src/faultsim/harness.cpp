@@ -293,8 +293,7 @@ TrialResult run_trial(const FaultSimConfig& config, obs::TraceSink* sink,
   if (report.crashed && std::getenv("FAULTSIM_DEBUG") != nullptr) {
     for (const nand::PowerLossVictim& v : victims) {
       std::fprintf(stderr, "[victim] chip=%u block=%u wl=%u type=%s\n", v.chip,
-                   v.block, v.pos.wordline,
-                   v.pos.type == nand::PageType::kLsb ? "LSB" : "MSB");
+                   v.block, v.pos.wordline, nand::to_string(v.pos.type));
     }
   }
   if (report.crashed && sink != nullptr) {

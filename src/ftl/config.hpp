@@ -79,12 +79,6 @@ struct FtlConfig {
   /// reclaim-unit handles. 1 = single-cursor legacy behavior.
   std::uint32_t write_stream_slots = 4;
 
-  /// flexFTL hot/cold separation: GC relocation copies get their own
-  /// fast-block / slow-block stream, so long-lived (cold) data ages in
-  /// blocks of its own instead of diluting hot host blocks — the standard
-  /// write-amplification reducer for skewed workloads.
-  bool separate_gc_stream = false;
-
   /// A small configuration for unit tests.
   static FtlConfig tiny() {
     FtlConfig c;
@@ -96,6 +90,36 @@ struct FtlConfig {
     c.rtf_active_blocks = 2;
     // The tiny device has so few LSB pages that the paper's 5% quota would
     // round to a handful of writes; keep it meaningful for tests.
+    c.initial_quota_fraction = 0.5;
+    return c;
+  }
+
+  /// flexFTL on 3-bit NAND (the paper's Section 1 projection): 2x2 chips
+  /// of 64 blocks with 32 word lines (96 pages), TLC timings, and the
+  /// backup headroom of 30% overprovisioning.
+  static FtlConfig tlc() {
+    FtlConfig c;
+    c.geometry = nand::Geometry{.channels = 2,
+                                .chips_per_channel = 2,
+                                .planes_per_chip = 1,
+                                .blocks_per_chip = 64,
+                                .wordlines_per_block = 32,
+                                .page_size_bytes = 4096,
+                                .spare_bytes = 128,
+                                .bits_per_cell = 3};
+    c.timing = nand::TimingSpec::tlc();
+    c.overprovisioning = 0.30;
+    return c;
+  }
+
+  /// The TLC unit-test device: 2 chips of 24 blocks with 8 word lines.
+  static FtlConfig tlc_tiny() {
+    FtlConfig c = tlc();
+    c.geometry.channels = 1;
+    c.geometry.blocks_per_chip = 24;
+    c.geometry.wordlines_per_block = 8;
+    c.geometry.page_size_bytes = 512;
+    c.gc_reserve_blocks = 1;
     c.initial_quota_fraction = 0.5;
     return c;
   }

@@ -28,7 +28,9 @@ FtlBase::FtlBase(const FtlConfig& config, nand::SequenceKind kind)
       mapping_(compute_exported_pages(config)),
       blocks_(config.geometry.num_units(), device_.visible_blocks(),
               config.geometry.pages_per_block()) {
-  assert(config.geometry.bits_per_cell == 2);  // the MLC FTLs; TLC is FlexTlcFtl
+  // MLC or TLC; flexFTL is the one policy that runs on both (the others
+  // assert two bits in their own constructors).
+  assert(config.geometry.bits_per_cell == 2 || config.geometry.bits_per_cell == 3);
   device_.set_cache_program(config.cache_program);
   // Factory-bad visible blocks the device could not remap are dead on
   // arrival: drop them from the pools before any allocation happens.
@@ -199,12 +201,13 @@ bool FtlBase::collect_block_impl(std::uint32_t chip, std::uint32_t victim,
   // those pages only to skip them. The cursor freezes at the first
   // unreadable page so corrupted data is revisited, not silently passed.
   bool frozen = false;
+  const std::uint32_t bits = block.bits();
   for (std::uint32_t wl = blocks_.gc_cursor(victim_addr); wl < block.wordlines();
        ++wl) {
     if (!frozen) blocks_.set_gc_cursor(victim_addr, wl);
-    for (const nand::PageType type : {nand::PageType::kLsb, nand::PageType::kMsb}) {
+    for (std::uint32_t pass = 0; pass < bits; ++pass) {
       if (blocks_.valid_pages(victim_addr) == 0) break;
-      const nand::PagePos pos{wl, type};
+      const nand::PagePos pos{wl, nand::type_of_pass(pass, bits)};
       if (block.page_state(pos) != nand::PageState::kValid) continue;
       const nand::PageAddress page_addr{chip, victim, pos};
       // Validity test: does the mapping still point here? (peek — the
@@ -419,8 +422,8 @@ void FtlBase::rebuild_mapping() {
       if (device_.bad_blocks().is_retired(chip, b)) continue;
       const nand::Block& block = device_.block({chip, b});
       for (std::uint32_t wl = 0; wl < geometry.wordlines_per_block; ++wl) {
-        for (const nand::PageType type : {nand::PageType::kLsb, nand::PageType::kMsb}) {
-          const nand::PagePos pos{wl, type};
+        for (std::uint32_t pass = 0; pass < geometry.bits_per_cell; ++pass) {
+          const nand::PagePos pos{wl, nand::type_of_pass(pass, geometry.bits_per_cell)};
           if (block.page_state(pos) != nand::PageState::kValid) continue;
           const nand::PageData* data = block.peek(pos);
           assert(data != nullptr);
@@ -549,8 +552,7 @@ void FtlBase::save_state(ser::Writer& w) const {
 
 void FtlBase::load_state(ser::Reader& r) {
   device_.load(r);
-  mapping_.load(r, device_.num_units(), device_.visible_blocks(),
-                device_.geometry().wordlines_per_block);
+  mapping_.load(r, device_.num_units(), device_.visible_blocks(), device_.geometry());
   blocks_.load(r);
 #define RPS_FIELD(name) stats_.name = r.u64();
   RPS_FTL_STAT_FIELDS(RPS_FIELD)

@@ -31,7 +31,8 @@ void MappingTable::save(ser::Writer& w) const {
 }
 
 void MappingTable::load(ser::Reader& r, std::uint32_t units, std::uint32_t blocks,
-                        std::uint32_t wordlines) {
+                        const nand::Geometry& geometry) {
+  const std::uint32_t bits = geometry.bits_per_cell;
   if (r.u64() != entries_.size()) {
     r.fail();
     return;
@@ -47,12 +48,14 @@ void MappingTable::load(ser::Reader& r, std::uint32_t units, std::uint32_t block
     e.addr.chip = ser::load_le<std::uint32_t>(p);
     e.addr.block = ser::load_le<std::uint32_t>(p + 4);
     e.addr.pos.wordline = ser::load_le<std::uint32_t>(p + 8);
-    if (e.addr.chip >= units || e.addr.block >= blocks || e.addr.pos.wordline >= wordlines ||
-        p[12] > static_cast<std::uint8_t>(nand::PageType::kMsb)) {
+    e.addr.pos.type = static_cast<nand::PageType>(p[12]);
+    if (e.addr.chip >= units || e.addr.block >= blocks ||
+        e.addr.pos.wordline >= geometry.wordlines_per_block ||
+        p[12] > static_cast<std::uint8_t>(nand::PageType::kCsb) ||
+        nand::pass_of(e.addr.pos.type, bits) >= bits) {
       r.fail();
       return;
     }
-    e.addr.pos.type = static_cast<nand::PageType>(p[12]);
     e.mapped = true;
     ++mapped_count_;
   }

@@ -66,11 +66,12 @@ class MappingTable {
   [[nodiscard]] Lpn mapped_count() const { return mapped_count_; }
 
   /// Snapshot support: the entries in one pass. load() rejects addresses
-  /// outside `units` x `blocks` x `wordlines` (GC and recovery index device
-  /// arrays with them) and unknown page types.
+  /// outside `units` x `blocks` x the geometry's word lines (GC and
+  /// recovery index device arrays with them) and page types the
+  /// geometry's cells lack (CSB on MLC).
   void save(ser::Writer& w) const;
   void load(ser::Reader& r, std::uint32_t units, std::uint32_t blocks,
-            std::uint32_t wordlines);
+            const nand::Geometry& geometry);
 
  private:
   struct Entry {

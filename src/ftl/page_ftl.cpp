@@ -10,7 +10,9 @@ PageFtl::PageFtl(const FtlConfig& config, nand::SequenceKind kind)
     : FtlBase(config, kind),
       order_(nand::fps_order(config.geometry.wordlines_per_block)),
       slots_(std::max<std::uint32_t>(1, config.write_stream_slots)),
-      active_(static_cast<std::size_t>(config.geometry.num_units()) * slots_) {}
+      active_(static_cast<std::size_t>(config.geometry.num_units()) * slots_) {
+  assert(config.geometry.bits_per_cell == 2);  // an MLC policy
+}
 
 Result<std::uint32_t> PageFtl::activate_block(std::uint32_t chip, Microseconds now,
                                               bool gc, BlockUse use) {

@@ -13,7 +13,9 @@ RtfFtl::RtfFtl(const FtlConfig& config)
       actives_(config.geometry.num_units(),
                std::vector<Cursor>(config.rtf_active_blocks)),
       backup_(config.geometry.num_units()),
-      lsb_debt_(config.geometry.num_units(), 0) {}
+      lsb_debt_(config.geometry.num_units(), 0) {
+  assert(config.geometry.bits_per_cell == 2);  // an MLC policy
+}
 
 std::uint32_t RtfFtl::lsb_ready_cursors(std::uint32_t chip) const {
   std::uint32_t ready = 0;

@@ -8,7 +8,9 @@ namespace rps::ftl {
 
 SlcFtl::SlcFtl(const FtlConfig& config)
     : FtlBase(halved(config), nand::SequenceKind::kFps),
-      cursors_(config.geometry.num_units()) {}
+      cursors_(config.geometry.num_units()) {
+  assert(config.geometry.bits_per_cell == 2);  // an MLC policy
+}
 
 Result<Microseconds> SlcFtl::append(std::uint32_t chip, Lpn lpn, nand::PageData data,
                                     Microseconds now, bool gc) {

@@ -32,7 +32,7 @@ namespace rps::nand {
 /// Why a program/erase happened. The FTL layer is responsible for keeping
 /// the device's active cause honest around every write path (CauseScope).
 enum class WriteCause : std::uint8_t {
-  kHost = 0,    // host write path (FtlBase::host_program / TLC write_pass)
+  kHost = 0,    // host write path (FtlBase::host_program, MLC and TLC alike)
   kGcCopy,      // garbage-collection valid-page relocation + victim erase
   kWearLevel,   // static wear-leveling migration
   kParity,      // parity-backup flush / parity-block reclaim
@@ -50,8 +50,10 @@ inline constexpr std::size_t kStreamSlots = 32;
 
 [[nodiscard]] const char* to_string(WriteCause cause);
 
-/// Per-cause and per-stream op totals for one device. Conservation
-/// invariants (enforced by tests/test_metrics.cpp against OpCounters):
+/// Per-cause and per-stream op totals for one device. `msb_programs`
+/// counts every program above pass 0 (on TLC the CSB pass too).
+/// Conservation invariants (enforced by tests/test_metrics.cpp against
+/// OpCounters):
 ///   sum(lsb_programs)  == ops.lsb_programs
 ///   sum(msb_programs)  == ops.msb_programs
 ///   sum(erases)        == ops.erases

@@ -6,7 +6,7 @@
 //     the NAND layer maintains (nand::BlockWear): P/E extremes, mean,
 //     coefficient of variation, max/mean imbalance, and a fixed-width
 //     P/E-count histogram. collect_wear() walks every physical block of a
-//     device (MLC or TLC family) in address order, so the summary is a
+//     device (MLC or TLC cells) in address order, so the summary is a
 //     pure function of device state — identical across runs and --jobs.
 //
 //   * Cause-tagged WAF decomposition — nand::AttributionCounters splits

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <cstdio>
+#include <optional>
 #include <string>
 
 #include "src/core/flex_ftl.hpp"
@@ -203,39 +206,50 @@ std::vector<std::vector<SimResult>> run_preset_matrix(
   return results;
 }
 
-std::uint32_t parse_jobs_flag(int argc, char** argv) {
+namespace {
+
+/// The value of `--NAME=V` or `--NAME V` in argv; nullopt when absent (a
+/// trailing `--NAME` with no value counts as absent).
+std::optional<std::string> flag_value(int argc, char** argv, const std::string& name) {
+  const std::string prefix = name + "=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--jobs=", 0) == 0) {
-        return std::max(1u, static_cast<std::uint32_t>(std::stoul(arg.substr(7))));
-      }
-      if (arg == "--jobs" && i + 1 < argc) {
-        return std::max(1u, static_cast<std::uint32_t>(std::stoul(argv[i + 1])));
-      }
-    } catch (...) {
-      return 1;
-    }
+    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
+    if (arg == name && i + 1 < argc) return std::string(argv[i + 1]);
   }
-  return 1;
+  return std::nullopt;
+}
+
+/// A positive decimal count flag: `fallback` when absent; an error — with
+/// the offending flag printed to stderr — for anything but digits that
+/// fit T, and for 0.
+template <typename T>
+Result<T> parse_count_flag(int argc, char** argv, const std::string& name, T fallback) {
+  const std::optional<std::string> value = flag_value(argc, argv, name);
+  if (!value) return fallback;
+  T parsed = 0;
+  const char* end = value->data() + value->size();
+  const auto [stop, error] = std::from_chars(value->data(), end, parsed);
+  if (error != std::errc{} || stop != end || parsed == 0) {
+    std::fprintf(stderr, "invalid %s value: '%s' (expected a positive integer)\n",
+                 name.c_str(), value->c_str());
+    return ErrorCode::kInvalidArgument;
+  }
+  return parsed;
+}
+
+}  // namespace
+
+Result<std::uint32_t> parse_jobs_flag(int argc, char** argv) {
+  return parse_count_flag<std::uint32_t>(argc, argv, "--jobs", 1);
 }
 
 std::string parse_trace_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace=", 0) == 0) return arg.substr(8);
-    if (arg == "--trace" && i + 1 < argc) return argv[i + 1];
-  }
-  return {};
+  return flag_value(argc, argv, "--trace").value_or("");
 }
 
 std::string parse_metrics_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--metrics=", 0) == 0) return arg.substr(10);
-    if (arg == "--metrics" && i + 1 < argc) return argv[i + 1];
-  }
-  return {};
+  return flag_value(argc, argv, "--metrics").value_or("");
 }
 
 void add_result_metrics(obs::MetricsReport& report, const SimResult& result) {
@@ -252,21 +266,8 @@ void add_result_metrics(obs::MetricsReport& report, const SimResult& result) {
   report.add_wear(result.wear);
 }
 
-std::uint64_t parse_requests_flag(int argc, char** argv, std::uint64_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--requests=", 0) == 0) {
-        return std::max<std::uint64_t>(1, std::stoull(arg.substr(11)));
-      }
-      if (arg == "--requests" && i + 1 < argc) {
-        return std::max<std::uint64_t>(1, std::stoull(argv[i + 1]));
-      }
-    } catch (...) {
-      return fallback;
-    }
-  }
-  return fallback;
+Result<std::uint64_t> parse_requests_flag(int argc, char** argv, std::uint64_t fallback) {
+  return parse_count_flag<std::uint64_t>(argc, argv, "--requests", fallback);
 }
 
 }  // namespace rps::sim

@@ -130,16 +130,19 @@ std::vector<std::vector<SimResult>> run_preset_matrix(
     std::uint32_t jobs);
 
 /// Parse a `--jobs=N` / `--jobs N` pair out of argv (for the bench
-/// drivers). Returns 1 when absent or malformed.
-std::uint32_t parse_jobs_flag(int argc, char** argv);
+/// drivers). Returns 1 when absent, and kInvalidArgument — after printing
+/// the bad flag to stderr — unless N is a positive decimal integer (no
+/// sign, no trailing characters).
+Result<std::uint32_t> parse_jobs_flag(int argc, char** argv);
 
 /// Parse `--trace=PATH` / `--trace PATH` out of argv (bench drivers:
 /// where to write the Chrome trace JSON). Empty string = absent.
 std::string parse_trace_flag(int argc, char** argv);
 
-/// Parse `--requests=N` / `--requests N` out of argv; `fallback` when
-/// absent or malformed (CI smoke runs shrink the benches with this).
-std::uint64_t parse_requests_flag(int argc, char** argv, std::uint64_t fallback);
+/// Parse `--requests=N` / `--requests N` out of argv (CI smoke runs shrink
+/// the benches with this); `fallback` when absent, kInvalidArgument as
+/// parse_jobs_flag for a malformed N.
+Result<std::uint64_t> parse_requests_flag(int argc, char** argv, std::uint64_t fallback);
 
 /// Parse `--metrics=PATH` / `--metrics PATH` out of argv (bench drivers:
 /// where to write the obs::MetricsReport JSON). Empty string = absent.

@@ -2,20 +2,17 @@
 
 #include <cassert>
 
-#include "src/core/flex_tlc_ftl.hpp"
 #include "src/ftl/ftl_base.hpp"
 
 namespace rps::sim {
 
 namespace {
 
-constexpr std::uint8_t kFamilyMlc = 0;
-constexpr std::uint8_t kFamilyTlc = 1;
+constexpr int kGeometryWords = 8;
 
-void write_header(ser::Writer& w, std::uint8_t family, std::string_view name) {
+void write_header(ser::Writer& w, std::string_view name) {
   w.u64(Snapshot::kMagic);
   w.u32(Snapshot::kVersion);
-  w.u8(family);
   w.str(name);
 }
 
@@ -27,22 +24,22 @@ void write_geometry(ser::Writer& w, const nand::Geometry& g) {
   w.u32(g.wordlines_per_block);
   w.u32(g.page_size_bytes);
   w.u32(g.spare_bytes);
+  w.u32(g.bits_per_cell);
 }
 
 bool geometry_matches(ser::Reader& r, const nand::Geometry& g) {
   return r.u32() == g.channels && r.u32() == g.chips_per_channel &&
          r.u32() == g.planes_per_chip && r.u32() == g.blocks_per_chip &&
          r.u32() == g.wordlines_per_block && r.u32() == g.page_size_bytes &&
-         r.u32() == g.spare_bytes;
+         r.u32() == g.spare_bytes && r.u32() == g.bits_per_cell;
 }
 
 /// One capture: header, payload and FNV-1a trailer written into one
 /// buffer sized exactly up front by a sizing pass over the same save code
 /// — no growth and no second copy of the payload.
-template <typename Ftl>
-std::vector<std::uint8_t> encode_snapshot(const Ftl& ftl, std::uint8_t family) {
+std::vector<std::uint8_t> encode_snapshot(const ftl::FtlBase& ftl) {
   ser::Writer sizer;
-  write_header(sizer, family, ftl.name());
+  write_header(sizer, ftl.name());
   write_geometry(sizer, ftl.device().geometry());
   const std::size_t header = sizer.size() + 8;  // + the payload size word
   ftl.save_state(sizer);
@@ -50,7 +47,7 @@ std::vector<std::uint8_t> encode_snapshot(const Ftl& ftl, std::uint8_t family) {
 
   std::vector<std::uint8_t> bytes(header + payload + 8);
   ser::Writer w(bytes);
-  write_header(w, family, ftl.name());
+  write_header(w, ftl.name());
   write_geometry(w, ftl.device().geometry());
   w.u64(payload);
   ftl.save_state(w);
@@ -69,12 +66,11 @@ std::vector<std::uint8_t> encode_snapshot(const Ftl& ftl, std::uint8_t family) {
 /// Snapshot (from_bytes / load_file); capture() output is correct by
 /// construction.
 std::optional<ser::Reader> open_payload(const std::vector<std::uint8_t>& bytes,
-                                        std::uint8_t family, std::string_view name,
+                                        std::string_view name,
                                         const nand::Geometry& geometry) {
   ser::Reader r(bytes);
   if (r.u64() != Snapshot::kMagic) return std::nullopt;
   if (r.u32() != Snapshot::kVersion) return std::nullopt;
-  if (r.u8() != family) return std::nullopt;
   if (r.str() != name) return std::nullopt;
   if (!geometry_matches(r, geometry)) return std::nullopt;
   const std::uint64_t size = r.u64();
@@ -83,15 +79,13 @@ std::optional<ser::Reader> open_payload(const std::vector<std::uint8_t>& bytes,
 }
 
 /// Full structural + checksum verification of an untrusted byte stream:
-/// magic, version, family, payload framing, FNV-1a trailer.
+/// magic, version, payload framing, FNV-1a trailer.
 bool verify_stream(const std::vector<std::uint8_t>& bytes) {
   ser::Reader r(bytes);
   if (r.u64() != Snapshot::kMagic) return false;
   if (r.u32() != Snapshot::kVersion) return false;
-  const std::uint8_t family = r.u8();
-  if (family != kFamilyMlc && family != kFamilyTlc) return false;
   if (r.str().empty()) return false;
-  for (int i = 0; i < 7; ++i) (void)r.u32();  // geometry echo
+  for (int i = 0; i < kGeometryWords; ++i) (void)r.u32();  // geometry echo
   const std::uint64_t size = r.u64();
   if (!r.ok() || r.remaining() < 8 || size != r.remaining() - 8) return false;
   const std::size_t start = r.pos();
@@ -104,27 +98,13 @@ bool verify_stream(const std::vector<std::uint8_t>& bytes) {
 
 Snapshot Snapshot::capture(const ftl::FtlBase& ftl) {
   Snapshot s;
-  s.bytes_ = encode_snapshot(ftl, kFamilyMlc);
-  return s;
-}
-
-Snapshot Snapshot::capture(const core::FlexTlcFtl& ftl) {
-  Snapshot s;
-  s.bytes_ = encode_snapshot(ftl, kFamilyTlc);
+  s.bytes_ = encode_snapshot(ftl);
   return s;
 }
 
 bool Snapshot::restore(ftl::FtlBase& ftl) const {
   std::optional<ser::Reader> payload =
-      open_payload(bytes_, kFamilyMlc, ftl.name(), ftl.device().geometry());
-  if (!payload) return false;
-  ftl.load_state(*payload);
-  return payload->ok() && payload->at_end();
-}
-
-bool Snapshot::restore(core::FlexTlcFtl& ftl) const {
-  std::optional<ser::Reader> payload =
-      open_payload(bytes_, kFamilyTlc, ftl.name(), ftl.device().geometry());
+      open_payload(bytes_, ftl.name(), ftl.device().geometry());
   if (!payload) return false;
   ftl.load_state(*payload);
   return payload->ok() && payload->at_end();
@@ -132,15 +112,12 @@ bool Snapshot::restore(core::FlexTlcFtl& ftl) const {
 
 bool Snapshot::valid() const {
   ser::Reader r(bytes_);
-  if (r.u64() != kMagic || r.u32() != kVersion) return false;
-  const std::uint8_t family = r.u8();
-  return r.ok() && (family == kFamilyMlc || family == kFamilyTlc);
+  return r.u64() == kMagic && r.u32() == kVersion && r.ok();
 }
 
 std::string Snapshot::ftl_name() const {
   ser::Reader r(bytes_);
   if (r.u64() != kMagic || r.u32() != kVersion) return {};
-  (void)r.u8();
   std::string name = r.str();
   return r.ok() ? name : std::string{};
 }

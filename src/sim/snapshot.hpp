@@ -12,14 +12,13 @@
 //
 //   u64  magic      "RPSSNAP1"
 //   u32  version    kVersion (readers reject anything else)
-//   u8   family     0 = MLC FtlBase, 1 = core::FlexTlcFtl (TLC)
 //   str  ftl name   e.g. "flexFTL" (restore target must match)
-//   u32[7] geometry echo (channels, chips per channel, planes, blocks,
-//                   word lines, page and spare bytes; must match — the
-//                   family fixes the bit count)
+//   u32[8] geometry echo (channels, chips per channel, planes, blocks,
+//                   word lines, page and spare bytes, bits per cell;
+//                   must match)
 //   u64  payload size
-//   ...  payload    FtlBase::save_state / FlexTlcFtl::save_state stream;
-//                   both open with the NandDevice stream
+//   ...  payload    FtlBase::save_state stream (opens with the NandDevice
+//                   stream)
 //   u64  payload FNV-1a (file-corruption guard)
 //
 // Determinism contract: the byte stream is canonical — unordered
@@ -42,10 +41,6 @@ namespace rps::ftl {
 class FtlBase;
 }  // namespace rps::ftl
 
-namespace rps::core {
-class FlexTlcFtl;
-}  // namespace rps::core
-
 namespace rps::sim {
 
 class Snapshot {
@@ -55,14 +50,15 @@ class Snapshot {
   // the chip/device payload streams (old v1 payloads lack those fields).
   // v3: the chip stream drops the program-suspension fields, and the TLC
   // family carries the shared NandDevice stream and geometry echo.
-  static constexpr std::uint32_t kVersion = 3;
+  // v4: one FTL family (no family byte), the echo carries the bits per
+  // cell, and flexFTL's section drops the cold GC stream and holds one
+  // queue, accumulator, parity map and retirement log per pass.
+  static constexpr std::uint32_t kVersion = 4;
 
   Snapshot() = default;
 
-  /// Capture the complete state of an MLC-family FTL (any FtlBase).
+  /// Capture the complete state of an FTL.
   static Snapshot capture(const ftl::FtlBase& ftl);
-  /// Capture the TLC projection (FlexTlcFtl, not an FtlBase).
-  static Snapshot capture(const core::FlexTlcFtl& ftl);
 
   /// Restore into a same-configuration instance. Returns false — leaving
   /// the target in an unspecified state that must be discarded — when the
@@ -70,7 +66,6 @@ class Snapshot {
   /// payload is truncated/corrupt. Restoring into a freshly-constructed
   /// FTL of the captured config always succeeds.
   [[nodiscard]] bool restore(ftl::FtlBase& ftl) const;
-  [[nodiscard]] bool restore(core::FlexTlcFtl& ftl) const;
 
   /// FNV-1a over the whole stream (header + payload). Two FTLs in the
   /// same logical state produce equal digests; the golden-digest tests

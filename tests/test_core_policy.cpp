@@ -1,10 +1,16 @@
-// The adaptive page-allocation decision rule of Section 3.2, verbatim.
+// The adaptive page-allocation decision rule of Section 3.2, verbatim at
+// two passes per word line (MLC), and its rotation over three (TLC).
 #include "src/core/policy.hpp"
 
 #include <gtest/gtest.h>
 
 namespace rps::core {
 namespace {
+
+// Pass indices on MLC, and the `open` mask with the MSB pass open.
+constexpr std::uint32_t kLsb = 0;
+constexpr std::uint32_t kMsb = 1;
+constexpr std::uint32_t kSlowOpen = 1u << kMsb;
 
 PolicyManager make_policy(std::int64_t quota = 10) {
   PolicyManager::Params p;
@@ -18,34 +24,34 @@ PolicyManager make_policy(std::int64_t quota = 10) {
 TEST(PolicyManager, HighUtilizationWithQuotaPicksLsb) {
   PolicyManager policy = make_policy();
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(policy.choose(0, 0.9, true), nand::PageType::kLsb);
+    EXPECT_EQ(policy.choose(0, 0.9, kSlowOpen), kLsb);
   }
 }
 
 TEST(PolicyManager, HighUtilizationWithoutQuotaAlternates) {
   PolicyManager policy = make_policy(0);
-  const nand::PageType first = policy.choose(0, 0.9, true);
-  const nand::PageType second = policy.choose(0, 0.9, true);
+  const std::uint32_t first = policy.choose(0, 0.9, kSlowOpen);
+  const std::uint32_t second = policy.choose(0, 0.9, kSlowOpen);
   EXPECT_NE(first, second);
-  EXPECT_NE(policy.choose(0, 0.9, true), second);
+  EXPECT_NE(policy.choose(0, 0.9, kSlowOpen), second);
 }
 
 TEST(PolicyManager, LowUtilizationPicksMsb) {
   PolicyManager policy = make_policy();
-  EXPECT_EQ(policy.choose(0, 0.05, true), nand::PageType::kMsb);
+  EXPECT_EQ(policy.choose(0, 0.05, kSlowOpen), kMsb);
 }
 
 TEST(PolicyManager, LowUtilizationWithoutSlowBlockFallsBackToLsb) {
   // Footnote 1: if there is no slow block, an LSB page is selected.
   PolicyManager policy = make_policy();
-  EXPECT_EQ(policy.choose(0, 0.05, false), nand::PageType::kLsb);
+  EXPECT_EQ(policy.choose(0, 0.05, 0), kLsb);
 }
 
 TEST(PolicyManager, MidUtilizationAlternates) {
   PolicyManager policy = make_policy();
   int lsb = 0;
   for (int i = 0; i < 10; ++i) {
-    if (policy.choose(0, 0.5, true) == nand::PageType::kLsb) ++lsb;
+    if (policy.choose(0, 0.5, kSlowOpen) == kLsb) ++lsb;
   }
   EXPECT_EQ(lsb, 5);
 }
@@ -54,10 +60,10 @@ TEST(PolicyManager, AlternationIsPerChip) {
   // Chip-interleaved striping must not see a globally flapping toggle:
   // consecutive decisions for the *same* chip alternate.
   PolicyManager policy = make_policy(0);
-  const nand::PageType c0_first = policy.choose(0, 0.5, true);
-  const nand::PageType c1_first = policy.choose(1, 0.5, true);
-  const nand::PageType c0_second = policy.choose(0, 0.5, true);
-  const nand::PageType c1_second = policy.choose(1, 0.5, true);
+  const std::uint32_t c0_first = policy.choose(0, 0.5, kSlowOpen);
+  const std::uint32_t c1_first = policy.choose(1, 0.5, kSlowOpen);
+  const std::uint32_t c0_second = policy.choose(0, 0.5, kSlowOpen);
+  const std::uint32_t c1_second = policy.choose(1, 0.5, kSlowOpen);
   EXPECT_NE(c0_first, c0_second);
   EXPECT_NE(c1_first, c1_second);
 }
@@ -84,26 +90,49 @@ TEST(PolicyManager, QuotaExhaustionSwitchesRegime) {
   // The paper's performance-fluctuation guard: with u high, LSB is used
   // until q runs out, then the policy degrades to alternation.
   PolicyManager policy = make_policy(2);
-  EXPECT_EQ(policy.choose(0, 0.95, true), nand::PageType::kLsb);
+  EXPECT_EQ(policy.choose(0, 0.95, kSlowOpen), kLsb);
   policy.note_lsb_write();
-  EXPECT_EQ(policy.choose(0, 0.95, true), nand::PageType::kLsb);
+  EXPECT_EQ(policy.choose(0, 0.95, kSlowOpen), kLsb);
   policy.note_lsb_write();
   // q == 0 now: alternate.
-  const nand::PageType a = policy.choose(0, 0.95, true);
-  const nand::PageType b = policy.choose(0, 0.95, true);
+  const std::uint32_t a = policy.choose(0, 0.95, kSlowOpen);
+  const std::uint32_t b = policy.choose(0, 0.95, kSlowOpen);
   EXPECT_NE(a, b);
 }
 
 TEST(PolicyManager, ThresholdBoundariesExclusive) {
   PolicyManager policy = make_policy();
   // u == u_high is NOT "higher than u_high" -> alternate zone.
-  const nand::PageType a = policy.choose(0, 0.8, true);
-  const nand::PageType b = policy.choose(0, 0.8, true);
+  const std::uint32_t a = policy.choose(0, 0.8, kSlowOpen);
+  const std::uint32_t b = policy.choose(0, 0.8, kSlowOpen);
   EXPECT_NE(a, b);
   // u == u_low is NOT "lower than u_low" -> alternate zone too.
-  const nand::PageType c = policy.choose(1, 0.1, true);
-  const nand::PageType d = policy.choose(1, 0.1, true);
+  const std::uint32_t c = policy.choose(1, 0.1, kSlowOpen);
+  const std::uint32_t d = policy.choose(1, 0.1, kSlowOpen);
   EXPECT_NE(c, d);
+}
+
+TEST(PolicyManager, TlcRotationSkipsPassesWithNoOpenBlock) {
+  PolicyManager::Params p;
+  p.initial_quota = 10;
+  p.passes = 3;
+  PolicyManager policy(p);
+  constexpr std::uint32_t kCsbOpen = 1u << 1;
+  constexpr std::uint32_t kMsbOpen = 1u << 2;
+  // Only pass 0 open: LSB, and the rotation state stays put.
+  EXPECT_EQ(policy.choose(0, 0.5, 0), 0u);
+  EXPECT_EQ(policy.choose(0, 0.5, 0), 0u);
+  // L -> C -> M -> L with every pass open.
+  EXPECT_EQ(policy.choose(0, 0.5, kCsbOpen | kMsbOpen), 0u);
+  EXPECT_EQ(policy.choose(0, 0.5, kCsbOpen | kMsbOpen), 1u);
+  EXPECT_EQ(policy.choose(0, 0.5, kCsbOpen | kMsbOpen), 2u);
+  EXPECT_EQ(policy.choose(0, 0.5, kCsbOpen | kMsbOpen), 0u);
+  // CSB closed: the turn passes on to MSB, then wraps to LSB.
+  EXPECT_EQ(policy.choose(0, 0.5, kMsbOpen), 2u);
+  EXPECT_EQ(policy.choose(0, 0.5, kMsbOpen), 0u);
+  // Low utilization takes the highest open pass.
+  EXPECT_EQ(policy.choose(0, 0.05, kCsbOpen), 1u);
+  EXPECT_EQ(policy.choose(0, 0.05, kCsbOpen | kMsbOpen), 2u);
 }
 
 }  // namespace

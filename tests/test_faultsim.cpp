@@ -10,7 +10,8 @@
 //   - every injected crash replays bit-identically from its one-line
 //     reproducer,
 //   - RecoveryReport.recovery_time_us is the device-idle delta (parallel
-//     across chips), never the serial sum of the charged operations.
+//     across chips), never the serial sum of the charged operations,
+//   - flexFTL on 3-bit cells runs the same harness unchanged.
 #include <gtest/gtest.h>
 
 #include "src/core/flex_ftl.hpp"
@@ -108,6 +109,41 @@ TEST(FaultSim, MultiPlaneSweepStaysCrashConsistent) {
     }();
     EXPECT_GT(result.crashes_injected, 0u) << cell_name(config);
   }
+}
+
+// flexFTL on TLC through the controller, the sweep driver and the oracle,
+// with no TLC-specific harness code: only the config's cell type and
+// timings change. Replays are off because reproducer lines do not carry
+// the cell type; determinism is checked across job counts instead.
+TEST(FaultSim, TlcSweepRunsThroughTheSameHarness) {
+  FaultSimConfig config;
+  config.ftl_config.geometry.bits_per_cell = 3;
+  config.ftl_config.timing = nand::TimingSpec::tlc();
+  SweepOptions options;
+  options.crash_points = 16;
+  options.verify_replay = false;
+  std::uint64_t victims = 0;
+  std::uint64_t recovered = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    config.seed = seed;
+    options.jobs = 1;
+    const SweepResult one = sweep(config, options);
+    options.jobs = 2;
+    const SweepResult two = sweep(config, options);
+    EXPECT_TRUE(one.ok()) << cell_name(config) << ": "
+                          << (one.failures.empty() ? "" : one.failures[0].line);
+    EXPECT_GT(one.crashes_injected, 0u) << cell_name(config);
+    EXPECT_EQ(one.golden_boundaries, two.golden_boundaries) << cell_name(config);
+    EXPECT_EQ(one.crashes_injected, two.crashes_injected) << cell_name(config);
+    EXPECT_EQ(one.total_victims, two.total_victims) << cell_name(config);
+    EXPECT_EQ(one.total_pages_lost, two.total_pages_lost) << cell_name(config);
+    EXPECT_EQ(one.total_parity_recovered, two.total_parity_recovered) << cell_name(config);
+    EXPECT_EQ(one.failures.size(), two.failures.size()) << cell_name(config);
+    victims += one.total_victims;
+    recovered += one.total_parity_recovered;
+  }
+  EXPECT_GT(victims, 0u);
+  EXPECT_GT(recovered, 0u);
 }
 
 // Satellite: the new topology/failure flags round-trip through the

@@ -4,7 +4,8 @@
 //   - Conservation is EXACT: the cause-tagged attribution sums equal the
 //     device's OpCounters field for field (lsb/msb programs, erases), and
 //     meta + stream programs partition all programs — for every MLC FTL x
-//     planes 1/2/4, for the TLC FTL, and still after a power-loss crash
+//     planes 1/2/4, for flexFTL on TLC (through the synchronous path and a
+//     sim::Simulator run), and still after a power-loss crash
 //     (pending-erase voiding must roll the attribution and ledger back).
 //   - The per-block wear ledger is the same events viewed per block: its
 //     column sums equal the device counters at every instant, and
@@ -20,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/flex_tlc_ftl.hpp"
+#include "src/core/flex_ftl.hpp"
 #include "src/ftl/ftl_base.hpp"
 #include "src/nand/attribution.hpp"
 #include "src/obs/metrics.hpp"
@@ -28,6 +29,7 @@
 #include "src/sim/simulator.hpp"
 #include "src/sim/snapshot.hpp"
 #include "src/util/random.hpp"
+#include "src/workload/generator.hpp"
 
 namespace rps::obs {
 namespace {
@@ -168,16 +170,28 @@ INSTANTIATE_TEST_SUITE_P(AllFtlsAllPlanes, AttributionConservation,
 
 // --------------------------------------------------------------------- TLC
 
-TEST(AttributionConservationTlc, SteadyStateAndCrashRecovery) {
-  core::FlexTlcFtl ftl(core::TlcFtlConfig::tiny());
+/// flexFTL on the TLC test device: a full fill and random overwrites
+/// through the synchronous path, then a measured sim::Simulator run
+/// (controller dispatch, striping, idle windows) over the same device.
+void drive_tlc(core::FlexFtl& ftl, std::uint64_t seed) {
   const Lpn n = ftl.exported_pages();
   for (Lpn lpn = 0; lpn < n; ++lpn) {
     ASSERT_TRUE(ftl.write(lpn, 0, 0.5).is_ok());
   }
-  Rng rng(5);
-  for (int i = 0; i < 600; ++i) {
+  Rng rng(seed);
+  for (int i = 0; i < 300; ++i) {
     ASSERT_TRUE(ftl.write(rng.next_below(n), 0, rng.next_double()).is_ok());
   }
+  sim::Simulator simulator(ftl, sim::SimConfig{});
+  const sim::SimResult r = simulator.run(workload::generate(
+      workload::preset_config(workload::Preset::kVarmail, n, 1500, seed)));
+  EXPECT_GT(r.pages_written, 0u);
+  EXPECT_EQ(r.read_errors, 0u);
+}
+
+TEST(AttributionConservationTlc, SteadyStateAndCrashRecovery) {
+  core::FlexFtl ftl(ftl::FtlConfig::tlc_tiny());
+  drive_tlc(ftl, /*seed=*/5);
   expect_conserved(ftl.device());
   const nand::AttributionCounters& a = ftl.device().attribution();
   EXPECT_GT(a.programs(nand::WriteCause::kHost), 0u);
@@ -188,27 +202,21 @@ TEST(AttributionConservationTlc, SteadyStateAndCrashRecovery) {
   // scrub erases and its parity rewrites (kMeta) must keep the books
   // balanced.
   const Microseconds t = ftl.device().all_idle_at();
-  const Result<Microseconds> op = ftl.write(0, t, 0.5);
+  const Result<ftl::HostOp> op = ftl.write(0, t, 0.5);
   ASSERT_TRUE(op.is_ok());
-  const auto victims = ftl.device().inject_power_loss(op.value() - 1);
+  const auto victims = ftl.device().inject_power_loss(op.value().complete - 1);
   expect_conserved(ftl.device());
   (void)ftl.recover_from_power_loss(victims, ftl.device().all_idle_at());
   expect_conserved(ftl.device());
+  EXPECT_TRUE(ftl.check_consistency());
 }
 
 TEST(AttributionConservationTlc, LedgerSurvivesSnapshot) {
-  core::FlexTlcFtl ftl(core::TlcFtlConfig::tiny());
-  const Lpn n = ftl.exported_pages();
-  for (Lpn lpn = 0; lpn < n; ++lpn) {
-    ASSERT_TRUE(ftl.write(lpn, 0, 0.5).is_ok());
-  }
-  Rng rng(9);
-  for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(ftl.write(rng.next_below(n), 0, rng.next_double()).is_ok());
-  }
+  core::FlexFtl ftl(ftl::FtlConfig::tlc_tiny());
+  drive_tlc(ftl, /*seed=*/9);
 
   const sim::Snapshot snapshot = sim::Snapshot::capture(ftl);
-  core::FlexTlcFtl restored(core::TlcFtlConfig::tiny());
+  core::FlexFtl restored(ftl::FtlConfig::tlc_tiny());
   ASSERT_TRUE(snapshot.restore(restored));
 
   EXPECT_EQ(restored.device().attribution(), ftl.device().attribution());

@@ -225,12 +225,29 @@ TEST(ParallelRunner, ParseJobsFlagAcceptsBothSpellings) {
     return sim::parse_jobs_flag(static_cast<int>(argv.size()),
                                 const_cast<char**>(argv.data()));
   };
-  EXPECT_EQ(parse({"bench"}), 1u);
-  EXPECT_EQ(parse({"bench", "--jobs=6"}), 6u);
-  EXPECT_EQ(parse({"bench", "--jobs", "3"}), 3u);
-  EXPECT_EQ(parse({"bench", "--jobs=garbage"}), 1u);
-  EXPECT_EQ(parse({"bench", "--jobs"}), 1u);
-  EXPECT_EQ(parse({"bench", "--jobs=0"}), 1u);
+  EXPECT_EQ(parse({"bench"}).value(), 1u);
+  EXPECT_EQ(parse({"bench", "--jobs=6"}).value(), 6u);
+  EXPECT_EQ(parse({"bench", "--jobs", "3"}).value(), 3u);
+  EXPECT_EQ(parse({"bench", "--jobs"}).value(), 1u);
+  // Malformed values are errors, never a silent default.
+  EXPECT_EQ(parse({"bench", "--jobs=garbage"}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(parse({"bench", "--jobs=0"}).code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(ParallelRunner, ParseRequestsFlagRejectsMalformedCounts) {
+  const auto parse = [](std::vector<const char*> argv) {
+    return sim::parse_requests_flag(static_cast<int>(argv.size()),
+                                    const_cast<char**>(argv.data()), 500);
+  };
+  EXPECT_EQ(parse({"bench"}).value(), 500u);
+  EXPECT_EQ(parse({"bench", "--requests=20000"}).value(), 20000u);
+  EXPECT_EQ(parse({"bench", "--requests", "7"}).value(), 7u);
+  for (const char* bad : {"--requests=abc", "--requests=12x", "--requests=-5",
+                          "--requests=0", "--requests=", "--requests=+3",
+                          "--requests=99999999999999999999999"}) {
+    EXPECT_EQ(parse({"bench", bad}).code(), ErrorCode::kInvalidArgument) << bad;
+  }
+  EXPECT_EQ(parse({"bench", "--requests", "-5"}).code(), ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

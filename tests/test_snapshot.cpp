@@ -5,7 +5,7 @@
 // (equal digests), and the restored instance must be behaviorally
 // indistinguishable — the same post-restore op sequence drives both
 // instances to the same state. Property-tested over all five MLC FTLs x
-// planes 1/2/4, the TLC FTL, and across a file save/load boundary.
+// planes 1/2/4, flexFTL on TLC, and across a file save/load boundary.
 //
 // GoldenDigests pins the capture digest of a fixed fill on the paper
 // geometry (tests/data/snapshot_digests_paper.txt): any change to the
@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/flex_tlc_ftl.hpp"
+#include "src/core/flex_ftl.hpp"
 #include "src/ftl/ftl_base.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/simulator.hpp"
@@ -129,8 +129,8 @@ INSTANTIATE_TEST_SUITE_P(
     case_name);
 
 TEST(SnapshotTlc, RoundTripReproducesDigest) {
-  const core::TlcFtlConfig config = core::TlcFtlConfig::tiny();
-  core::FlexTlcFtl original(config);
+  const ftl::FtlConfig config = ftl::FtlConfig::tlc_tiny();
+  core::FlexFtl original(config);
   const Lpn span = original.exported_pages() * 6 / 10;
   for (Lpn lpn = 0; lpn < span; ++lpn) {
     ASSERT_TRUE(original.write(lpn, original.device().all_idle_at(), 0.5).is_ok());
@@ -145,7 +145,7 @@ TEST(SnapshotTlc, RoundTripReproducesDigest) {
   ASSERT_TRUE(snapshot.valid());
   EXPECT_EQ(snapshot.ftl_name(), original.name());
 
-  core::FlexTlcFtl restored(config);
+  core::FlexFtl restored(config);
   ASSERT_TRUE(snapshot.restore(restored));
   EXPECT_TRUE(restored.check_consistency());
   EXPECT_EQ(Snapshot::capture(restored).digest(), snapshot.digest());
@@ -156,7 +156,9 @@ TEST(SnapshotTlc, RoundTripReproducesDigest) {
     const auto a = original.write(lpn, original.device().all_idle_at(), 0.5);
     const auto b = restored.write(lpn, restored.device().all_idle_at(), 0.5);
     ASSERT_EQ(a.is_ok(), b.is_ok());
-    if (a.is_ok()) ASSERT_EQ(a.value(), b.value());
+    if (a.is_ok()) {
+      ASSERT_EQ(a.value().complete, b.value().complete);
+    }
   }
   EXPECT_EQ(Snapshot::capture(original).digest(),
             Snapshot::capture(restored).digest());
@@ -220,8 +222,29 @@ TEST(SnapshotValidation, WrongFtlKindIsRejected) {
   std::unique_ptr<ftl::FtlBase> parity = make_ftl(FtlKind::kParity, config);
   EXPECT_FALSE(snapshot.restore(*parity));
 
-  core::FlexTlcFtl tlc(core::TlcFtlConfig::tiny());
+  core::FlexFtl tlc(ftl::FtlConfig::tlc_tiny());
   EXPECT_FALSE(snapshot.restore(tlc));
+}
+
+TEST(SnapshotValidation, CellTypeMismatchIsRejected) {
+  // Same FTL, same organization, different bits per cell: the geometry
+  // echo tells a 2-bit capture from a 3-bit one in both directions.
+  ftl::FtlConfig mlc = ftl::FtlConfig::tlc_tiny();
+  mlc.geometry.bits_per_cell = 2;
+  mlc.timing = nand::TimingSpec::paper();
+  const ftl::FtlConfig tlc = ftl::FtlConfig::tlc_tiny();
+  core::FlexFtl mlc_ftl(mlc);
+  core::FlexFtl tlc_ftl(tlc);
+  for (Lpn lpn = 0; lpn < 40; ++lpn) {
+    ASSERT_TRUE(mlc_ftl.write(lpn, 0, 0.5).is_ok());
+    ASSERT_TRUE(tlc_ftl.write(lpn, 0, 0.5).is_ok());
+  }
+  core::FlexFtl mlc_target(mlc);
+  core::FlexFtl tlc_target(tlc);
+  EXPECT_FALSE(Snapshot::capture(mlc_ftl).restore(tlc_target));
+  EXPECT_FALSE(Snapshot::capture(tlc_ftl).restore(mlc_target));
+  EXPECT_TRUE(Snapshot::capture(mlc_ftl).restore(mlc_target));
+  EXPECT_TRUE(Snapshot::capture(tlc_ftl).restore(tlc_target));
 }
 
 TEST(SnapshotValidation, WrongGeometryIsRejected) {

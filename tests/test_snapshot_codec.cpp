@@ -4,7 +4,7 @@
 // and the mapping table in one pass, and writes each capture into one
 // exactly-sized buffer. This file keeps the per-field, byte-at-a-time
 // encoder and decoder it replaced as a test-only reference model and
-// checks, for the five MLC FTLs x planes 1/2/4 and the TLC FTL, in states
+// checks, for the five MLC FTLs x planes 1/2/4 and flexFTL on TLC, in states
 // the steady-state goldens miss — pages corrupted by a power cut, pending
 // (voidable) erases, bad-block remaps, pages carrying payload bytes:
 //   - the reference decoder parses the captured stream, and the pages it
@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/flex_tlc_ftl.hpp"
 #include "src/ftl/ftl_base.hpp"
 #include "src/nand/attribution.hpp"
 #include "src/sim/runner.hpp"
@@ -258,9 +257,8 @@ struct RefStream {
 void ref_skip_header(RefReader& r) {
   (void)r.u64();  // magic
   (void)r.u32();  // version
-  (void)r.u8();   // family
   (void)r.bytes(r.u64());
-  for (int i = 0; i < 7; ++i) (void)r.u32();  // geometry echo
+  for (int i = 0; i < 8; ++i) (void)r.u32();  // geometry echo
   (void)r.u64();  // payload size
 }
 
@@ -270,7 +268,7 @@ std::size_t attribution_bytes() {
   return sizer.size();
 }
 
-/// Parse the device section both families open their payload with.
+/// Parse the device section every payload opens with.
 void ref_parse_device(RefReader& r, RefStream& s) {
   const std::uint64_t units = r.count(8);
   s.blocks.resize(units);
@@ -323,7 +321,7 @@ void ref_parse_device(RefReader& r, RefStream& s) {
   (void)r.bytes(attribution_bytes());
 }
 
-/// Parse the mapping table (the same layout in both families).
+/// Parse the mapping table.
 void ref_parse_mapping(RefReader& r, RefStream& s) {
   s.mapping_begin = r.pos();
   const std::uint64_t lpns = r.count(1);
@@ -335,8 +333,8 @@ void ref_parse_mapping(RefReader& r, RefStream& s) {
   s.mapping_end = r.pos();
 }
 
-/// Parse an MLC capture per field: header, device, mapping, block pools.
-RefStream ref_parse_mlc(const std::vector<std::uint8_t>& bytes) {
+/// Parse a capture per field: header, device, mapping, block pools.
+RefStream ref_parse(const std::vector<std::uint8_t>& bytes) {
   RefStream s;
   RefReader r(bytes);
   ref_skip_header(r);
@@ -363,22 +361,6 @@ RefStream ref_parse_mlc(const std::vector<std::uint8_t>& bytes) {
   return s;
 }
 
-/// Parse a TLC capture's device section, mapping and first chip's free
-/// list.
-RefStream ref_parse_tlc(const std::vector<std::uint8_t>& bytes) {
-  RefStream s;
-  RefReader r(bytes);
-  ref_skip_header(r);
-  s.payload_begin = r.pos();
-  ref_parse_device(r, s);
-  ref_parse_mapping(r, s);
-  (void)r.u64();  // chips
-  const std::uint64_t free = r.count(4);
-  if (free > 0) s.first_free_block = r.pos();
-  EXPECT_TRUE(r.ok()) << "reference decoder ran off the stream";
-  return s;
-}
-
 // ---- Scenario ---------------------------------------------------------
 
 std::vector<std::uint8_t> payload_for(std::uint64_t lpn, int i) {
@@ -401,8 +383,7 @@ ftl::FtlConfig codec_config(std::uint32_t planes) {
 /// Overwrites at time 0 run every chip's timeline far ahead of the clock,
 /// so GC erases stay pending (charged, not yet applied); every fifth
 /// write carries payload bytes.
-template <typename Ftl>
-void drive(Ftl& ftl, Lpn span, std::uint64_t seed) {
+void drive(ftl::FtlBase& ftl, Lpn span, std::uint64_t seed) {
   Rng rng(seed);
   for (int i = 0; i < 900; ++i) {
     const Lpn lpn = i < static_cast<int>(span) ? static_cast<Lpn>(i) : rng.next_below(span);
@@ -427,7 +408,7 @@ void write_until_pending_erase(ftl::FtlBase& ftl, std::uint64_t seed) {
   const Lpn span = ftl.exported_pages() * 6 / 10;
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE(ftl.write(rng.next_below(span), 0, 0.5).is_ok());
-    if (ref_parse_mlc(Snapshot::capture(ftl).bytes()).pending_erases() > 0) return;
+    if (ref_parse(Snapshot::capture(ftl).bytes()).pending_erases() > 0) return;
   }
   FAIL() << "no pending erase after 2000 writes";
 }
@@ -441,11 +422,11 @@ Snapshot rechecksum(std::vector<std::uint8_t> bytes, std::size_t payload_begin) 
 
 // ---- Codec equivalence ------------------------------------------------
 
-/// Check one MLC capture of `original` against the reference model.
-void check_mlc_capture(FtlKind kind, const ftl::FtlConfig& config, ftl::FtlBase& original) {
+/// Check one capture of `original` against the reference model.
+void check_capture(FtlKind kind, const ftl::FtlConfig& config, ftl::FtlBase& original) {
   const Snapshot snapshot = Snapshot::capture(original);
   const std::vector<std::uint8_t>& bytes = snapshot.bytes();
-  const RefStream ref = ref_parse_mlc(bytes);
+  const RefStream ref = ref_parse(bytes);
   ASSERT_EQ(ref.blocks.size(), original.device().num_units());
   EXPECT_EQ(original.device().payloads().size(), ref.payload_entries());
 
@@ -510,7 +491,7 @@ TEST_P(SnapshotCodecReference, PendingErasesRemapsAndPayloads) {
   drive(*ftl, ftl->exported_pages() * 6 / 10, 0xc0dec + param.planes);
   write_until_pending_erase(*ftl, 0xe5a5e);
   ASSERT_FALSE(ftl->device().payloads().empty());
-  check_mlc_capture(param.kind, config, *ftl);
+  check_capture(param.kind, config, *ftl);
 }
 
 TEST_P(SnapshotCodecReference, PagesCorruptedByPowerCut) {
@@ -519,8 +500,8 @@ TEST_P(SnapshotCodecReference, PagesCorruptedByPowerCut) {
   std::unique_ptr<ftl::FtlBase> ftl = make_ftl(param.kind, config);
   drive(*ftl, ftl->exported_pages() * 6 / 10, 0xc0dec + param.planes);
   cut_power(ftl->device());
-  EXPECT_GT(ref_parse_mlc(Snapshot::capture(*ftl).bytes()).corrupted_pages(), 0u);
-  check_mlc_capture(param.kind, config, *ftl);
+  EXPECT_GT(ref_parse(Snapshot::capture(*ftl).bytes()).corrupted_pages(), 0u);
+  check_capture(param.kind, config, *ftl);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -536,41 +517,14 @@ INSTANTIATE_TEST_SUITE_P(
     case_name);
 
 TEST(SnapshotCodecReferenceTlc, PayloadsAndPowerCut) {
-  const core::TlcFtlConfig config = core::TlcFtlConfig::tiny();
-  core::FlexTlcFtl ftl(config);
-  drive(ftl, ftl.exported_pages() * 6 / 10, 0x71c);
-  for (const bool cut : {false, true}) {
-    if (cut) cut_power(ftl.device());
-    const Snapshot snapshot = Snapshot::capture(ftl);
-    const std::vector<std::uint8_t>& bytes = snapshot.bytes();
-    const RefStream ref = ref_parse_tlc(bytes);
-    if (cut) {
-      EXPECT_GT(ref.corrupted_pages(), 0u);
-    }
-    EXPECT_EQ(ftl.device().payloads().size(), ref.payload_entries());
-    EXPECT_GT(ref.payload_entries(), 0u);
-
-    core::FlexTlcFtl restored(config);
-    ASSERT_TRUE(snapshot.restore(restored));
-    EXPECT_EQ(Snapshot::capture(restored).bytes(), bytes);
-    for (std::uint32_t c = 0; c < ref.blocks.size(); ++c) {
-      for (std::uint32_t b = 0; b < ref.blocks[c].size(); ++b) {
-        const RefBlock& decoded = ref.blocks[c][b];
-        const std::vector<std::uint8_t> expected(
-            bytes.begin() + static_cast<std::ptrdiff_t>(decoded.begin),
-            bytes.begin() + static_cast<std::ptrdiff_t>(decoded.end));
-        ASSERT_EQ(ref_save_block(decoded), expected);
-        // Touching a block applies its pending erase (see check_mlc_capture).
-        if (ref.pending[c].count(b) != 0) continue;
-        for (const core::FlexTlcFtl* live : {&ftl, &restored}) {
-          const RefBlock state =
-              ref_of(live->device().chip(c).block(b), live->device().payloads());
-          ASSERT_TRUE(state.same_content(decoded)) << "chip " << c << " block " << b;
-          ASSERT_EQ(ref_save_block(state), expected);
-        }
-      }
-    }
-  }
+  const ftl::FtlConfig config = ftl::FtlConfig::tlc_tiny();
+  std::unique_ptr<ftl::FtlBase> ftl = make_ftl(FtlKind::kFlex, config);
+  drive(*ftl, ftl->exported_pages() * 6 / 10, 0x71c);
+  ASSERT_FALSE(ftl->device().payloads().empty());
+  check_capture(FtlKind::kFlex, config, *ftl);
+  cut_power(ftl->device());
+  EXPECT_GT(ref_parse(Snapshot::capture(*ftl).bytes()).corrupted_pages(), 0u);
+  check_capture(FtlKind::kFlex, config, *ftl);
 }
 
 TEST(SnapshotCodecPrimitives, WordsMatchByteAtATimeReference) {
@@ -650,7 +604,7 @@ struct MutableCapture {
     drive(*ftl, ftl->exported_pages() / 2, 0x1ead);
     write_until_pending_erase(*ftl, 0x1ead);
     bytes = Snapshot::capture(*ftl).bytes();
-    ref = ref_parse_mlc(bytes);
+    ref = ref_parse(bytes);
   }
 
   /// Overwrite a u32 field, re-checksum, and try to restore.
@@ -713,27 +667,33 @@ TEST(SnapshotLoaderValidation, ChipRejectsOutOfRangeBlockIndices) {
 }
 
 TEST(SnapshotLoaderValidation, TlcRejectsOutOfRangeAddressesAndBlocks) {
-  const core::TlcFtlConfig config = core::TlcFtlConfig::tiny();
-  core::FlexTlcFtl ftl(config);
-  drive(ftl, ftl.exported_pages() / 2, 0x71d);
-  const std::vector<std::uint8_t> bytes = Snapshot::capture(ftl).bytes();
-  const RefStream ref = ref_parse_tlc(bytes);
+  const ftl::FtlConfig config = ftl::FtlConfig::tlc_tiny();
+  std::unique_ptr<ftl::FtlBase> ftl = make_ftl(FtlKind::kFlex, config);
+  drive(*ftl, ftl->exported_pages() / 2, 0x71d);
+  const std::vector<std::uint8_t> bytes = Snapshot::capture(*ftl).bytes();
+  const RefStream ref = ref_parse(bytes);
   ASSERT_NE(ref.first_mapped_address, 0u);
   ASSERT_NE(ref.first_free_block, 0u);
-  const auto restores_with_u32 = [&](std::size_t offset, std::uint32_t value) {
+  const auto restores = [&](std::size_t offset, std::uint32_t value, std::size_t width) {
     std::vector<std::uint8_t> mutated = bytes;
-    ser::store_le(mutated.data() + offset, value);
+    if (width == 1) {
+      mutated[offset] = static_cast<std::uint8_t>(value);
+    } else {
+      ser::store_le(mutated.data() + offset, value);
+    }
     const Snapshot snapshot = rechecksum(std::move(mutated), ref.payload_begin);
     EXPECT_FALSE(snapshot.empty()) << "trailer recomputation failed";
-    core::FlexTlcFtl target(config);
-    return snapshot.restore(target);
+    std::unique_ptr<ftl::FtlBase> target = make_ftl(FtlKind::kFlex, config);
+    return snapshot.restore(*target);
   };
   const std::size_t at = ref.first_mapped_address;
-  EXPECT_TRUE(restores_with_u32(at, ser::load_le<std::uint32_t>(bytes.data() + at)));
-  EXPECT_FALSE(restores_with_u32(at, 1'000'000));                                 // chip
-  EXPECT_FALSE(restores_with_u32(at + 4, config.geometry.blocks_per_chip));       // block
-  EXPECT_FALSE(restores_with_u32(at + 8, config.geometry.wordlines_per_block));   // word line
-  EXPECT_FALSE(restores_with_u32(ref.first_free_block, config.geometry.blocks_per_chip));
+  EXPECT_TRUE(restores(at, ser::load_le<std::uint32_t>(bytes.data() + at), 4));
+  EXPECT_FALSE(restores(at, 1'000'000, 4));                                 // chip
+  EXPECT_FALSE(restores(at + 4, config.geometry.blocks_per_chip, 4));       // block
+  EXPECT_FALSE(restores(at + 8, config.geometry.wordlines_per_block, 4));   // word line
+  EXPECT_TRUE(restores(at + 12, 2, 1));   // a CSB page exists on TLC...
+  EXPECT_FALSE(restores(at + 12, 3, 1));  // ...no fourth page type does
+  EXPECT_FALSE(restores(ref.first_free_block, config.geometry.blocks_per_chip, 4));
 }
 
 }  // namespace
