@@ -39,10 +39,12 @@
 //   --metrics  write an obs::MetricsReport of a dedicated WDRR re-run
 //              (fresh device, so device totals == run delta), including
 //              the per-tenant stream_programs breakdown and wear ledger
+// A malformed numeric value prints the flag and exits 2.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/host/multi_queue.hpp"
@@ -302,16 +304,26 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string metrics_path;
   BenchParams params;
+  // Numeric flags go through Result-returning parsers: a malformed value
+  // prints the flag (the parser does) and exits 2.
+  bool malformed = false;
+  const auto take = [&malformed](auto& into, const auto& parsed) {
+    if (parsed.is_ok()) {
+      into = static_cast<std::remove_reference_t<decltype(into)>>(parsed.value());
+    } else {
+      malformed = true;
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
       quick = true;
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = static_cast<std::uint32_t>(std::stoul(arg.substr(7)));
+      take(jobs, sim::parse_count_value("--jobs", arg.substr(7), UINT32_MAX));
     } else if (arg.rfind("--tenants=", 0) == 0) {
-      tenants = static_cast<std::uint32_t>(std::stoul(arg.substr(10)));
+      take(tenants, sim::parse_count_value("--tenants", arg.substr(10), UINT32_MAX));
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
+      take(seed, sim::parse_uint_value("--seed", arg.substr(7)));
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--trace=", 0) == 0) {
@@ -320,22 +332,28 @@ int main(int argc, char** argv) {
       metrics_path = arg.substr(10);
     } else if (arg.rfind("--budget=", 0) == 0) {
       // Undocumented tuning knobs (kept for experiments/regeneration).
-      params.shared_page_budget = static_cast<std::uint32_t>(std::stoul(arg.substr(9)));
+      take(params.shared_page_budget,
+           sim::parse_uint_value("--budget", arg.substr(9), UINT32_MAX));
     } else if (arg.rfind("--quantum=", 0) == 0) {
-      params.quantum_pages = static_cast<std::uint32_t>(std::stoul(arg.substr(10)));
+      take(params.quantum_pages,
+           sim::parse_count_value("--quantum", arg.substr(10), UINT32_MAX));
     } else if (arg.rfind("--flood-pages=", 0) == 0) {
-      params.flood_pages = static_cast<std::uint32_t>(std::stoul(arg.substr(14)));
+      take(params.flood_pages,
+           sim::parse_count_value("--flood-pages", arg.substr(14), UINT32_MAX));
     } else if (arg.rfind("--victim-gap=", 0) == 0) {
-      params.victim_interarrival_us = std::stoull(arg.substr(13));
+      take(params.victim_interarrival_us,
+           sim::parse_count_value("--victim-gap", arg.substr(13), INT64_MAX));
     } else if (arg.rfind("--victim-rf=", 0) == 0) {
-      params.victim_read_fraction = std::stod(arg.substr(12));
+      take(params.victim_read_fraction,
+           sim::parse_fraction_value("--victim-rf", arg.substr(12)));
     } else if (arg.rfind("--stripe=", 0) == 0) {
-      params.stripe_writes = std::stoul(arg.substr(9)) != 0;
+      take(params.stripe_writes, sim::parse_switch_value("--stripe", arg.substr(9)));
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
     }
   }
+  if (malformed) return 2;
 
   // The O(active) arbiter and incremental frontend eligibility keep
   // admission cost tied to backlogged tenants, so the frontend scales to

@@ -6,7 +6,11 @@
 //      for every FTL (5 cells), measured over Simulator::run only
 //      (preconditioning and warm-up excluded). Compared against the
 //      pre-optimization baseline recorded in kBaselineKops below — the
-//      acceptance bar is "no worse than baseline" for every cell.
+//      acceptance bar is "no worse than baseline" for every cell. Each
+//      cell also records the controller's dispatch work counts over its
+//      first replay (ctrl::DispatchWork: instants drained, write picks,
+//      blocked write picks, read heads examined) — deterministic, so a
+//      dispatch change shows as a count, not only as noisy wall time.
 //   2. Sweep scaling: wall time of a faultsim seed x density matrix at
 //      --jobs 1 vs --jobs 8, plus an FNV-1a digest of every cell's
 //      numeric results at both job counts — and a third, cold arm
@@ -107,6 +111,7 @@ struct CellResult {
   double secs = 0.0;       // wall seconds of the measured run
   std::uint64_t ops = 0;   // pages read + written in the measured run
   sim::SimResult result;   // first replay's simulation results (deterministic)
+  ctrl::DispatchWork work;  // first replay's dispatch work (deterministic)
 };
 
 CellResult measure_cell(sim::FtlKind kind, std::uint64_t requests, int reps) {
@@ -133,6 +138,7 @@ CellResult measure_cell(sim::FtlKind kind, std::uint64_t requests, int reps) {
   CellResult cell;
   cell.kind = kind;
   for (int rep = 0; rep < reps; ++rep) {
+    const ctrl::DispatchWork before = simulator.controller().dispatch_work();
     const double t0 = now_secs();
     const sim::SimResult result = simulator.run(trace);
     const double secs = now_secs() - t0;
@@ -146,7 +152,13 @@ CellResult measure_cell(sim::FtlKind kind, std::uint64_t requests, int reps) {
     // Keep the first replay's SimResult for --metrics: replay 0 starts
     // from the preconditioned + warmed state, so its counters depend only
     // on the spec — not on which rep happened to be fastest.
-    if (rep == 0) cell.result = result;
+    if (rep == 0) {
+      cell.result = result;
+      const ctrl::DispatchWork& after = simulator.controller().dispatch_work();
+      cell.work = {after.instants - before.instants, after.write_picks - before.write_picks,
+                   after.write_picks_blocked - before.write_picks_blocked,
+                   after.read_heads - before.read_heads};
+    }
   }
   return cell;
 }
@@ -292,10 +304,16 @@ void write_json(const std::string& path, bool quick, std::uint64_t requests,
     std::fprintf(out,
                  "      {\"ftl\": \"%s\", \"kops\": %.2f, "
                  "\"secs\": %.3f, \"ops\": %llu, \"baseline_kops\": %.2f, "
-                 "\"vs_baseline\": %.3f}%s\n",
+                 "\"vs_baseline\": %.3f, \"work\": {\"instants\": %llu, "
+                 "\"write_picks\": %llu, \"write_picks_blocked\": %llu, "
+                 "\"read_heads\": %llu}}%s\n",
                  sim::to_string(c.kind), c.kops, c.secs,
                  static_cast<unsigned long long>(c.ops), base,
                  base > 0 ? c.kops / base : 0.0,
+                 static_cast<unsigned long long>(c.work.instants),
+                 static_cast<unsigned long long>(c.work.write_picks),
+                 static_cast<unsigned long long>(c.work.write_picks_blocked),
+                 static_cast<unsigned long long>(c.work.read_heads),
                  i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(out, "    ]\n");
@@ -422,7 +440,10 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = arg.substr(10);
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = static_cast<std::uint32_t>(std::stoul(arg.substr(7)));
+      const Result<std::uint64_t> parsed =
+          sim::parse_count_value("--jobs", arg.substr(7), UINT32_MAX);
+      if (!parsed.is_ok()) return 2;  // the parser printed the bad flag
+      jobs = static_cast<std::uint32_t>(parsed.value());
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;

@@ -16,7 +16,6 @@ constexpr std::size_t kInitialSlots = 64;
 Controller::Controller(ftl::FtlBase& ftl, ControllerConfig config)
     : ftl_(ftl),
       config_(config),
-      units_(ftl.device().geometry().num_units()),
       planes_(ftl.device().geometry().planes_per_chip),
       slot_state_(kInitialSlots, SlotState::kEmpty),
       slot_remaining_(kInitialSlots, 0),
@@ -25,7 +24,8 @@ Controller::Controller(ftl::FtlBase& ftl, ControllerConfig config)
       slot_done_(kInitialSlots, nullptr),
       slot_group_die_(kInitialSlots),
       slot_mask_(kInitialSlots - 1),
-      read_queues_(ftl.device().geometry().num_units()) {}
+      read_queues_(ftl.device().geometry().num_units()),
+      read_nonempty_(ftl.device().geometry().num_units()) {}
 
 Controller::~Controller() {
   // Slots still live at teardown hold done slabs; hand them back so the
@@ -132,8 +132,9 @@ void Controller::enqueue_ready(CommandId id, std::uint32_t index, Microseconds r
   const Lpn lpn = op_lpn(cmd, index);
   const Result<nand::PageAddress> addr = ftl_.mapping().lookup(lpn);
   if (addr.is_ok()) {
-    read_queues_[addr.value().chip].push_back(QueuedOp{ready, id, index});
-    ++queued_reads_;
+    const std::uint32_t chip = addr.value().chip;
+    read_queues_[chip].push_back(QueuedOp{ready, id, index});
+    read_nonempty_.set(chip);
     return;
   }
   const Result<ftl::HostOp> op = ftl_.read(lpn, ready);
@@ -164,13 +165,20 @@ void Controller::dispatch_at(Microseconds t) {
       events_.schedule(w);
     }
   };
+  // A write head that found no idle chip stays blocked for the rest of
+  // the instant: busy times only grow within it, and nothing but the
+  // write loop pops the FIFO. Its wake-up is already in next_wake, so
+  // with coalescing on a rescan could only re-derive a later one. Without
+  // coalescing each retry schedules its own (possibly later) wake-up,
+  // which the sampler observes, so it stays.
+  bool write_blocked = false;
   bool progress = true;
   while (progress) {
     progress = false;
     // Write stream: FIFO heads bind to idle chips until none is idle (or
     // the head is not yet ready). Readiness lives in the queue entry —
     // the scan touches no slot state.
-    while (!write_queue_.empty()) {
+    while (!write_blocked && !write_queue_.empty()) {
       const QueuedOp qop = write_queue_.front();
       if (qop.ready > t) {
         wake(qop.ready);
@@ -179,31 +187,38 @@ void Controller::dispatch_at(Microseconds t) {
       Microseconds blocked_until = kTimeNever;
       if (!dispatch_write(qop, t, blocked_until)) {
         wake(blocked_until);  // no idle chip
+        write_blocked = coalesce;
         break;
       }
       write_queue_.pop_front();
       progress = true;
     }
     // Per-chip read queues: each head dispatches once its chip is free.
-    // Skipped outright when nothing is queued anywhere.
-    if (queued_reads_ != 0) {
-      for (std::uint32_t chip = 0; chip < read_queues_.size(); ++chip) {
-        RingBuffer<QueuedOp>& queue = read_queues_[chip];
-        while (!queue.empty()) {
-          const QueuedOp qop = queue.front();
-          if (qop.ready > t) {
-            wake(qop.ready);
-            break;
-          }
-          const Microseconds busy = ftl_.device().chip(chip).busy_until();
-          if (busy > t) {
-            wake(busy);
-            break;
-          }
-          queue.pop_front();
-          --queued_reads_;
-          dispatch_read(qop, chip, t);
-          progress = true;
+    // Only nonempty queues are visited, in ascending chip order; next()
+    // re-reads the live bitset, so a read a retirement enqueues on a
+    // higher chip mid-pass is still served in this pass.
+    for (std::uint32_t chip = read_nonempty_.next(0); chip != util::IndexBitSet::kNpos;
+         chip = read_nonempty_.next(chip + 1)) {
+      RingBuffer<QueuedOp>& queue = read_queues_[chip];
+      while (true) {
+        ++work_.read_heads;
+        const QueuedOp qop = queue.front();
+        if (qop.ready > t) {
+          wake(qop.ready);
+          break;
+        }
+        const Microseconds busy = ftl_.device().chip(chip).busy_until();
+        if (busy > t) {
+          wake(busy);
+          break;
+        }
+        queue.pop_front();
+        dispatch_read(qop, chip, t);
+        progress = true;
+        // The retirement may have enqueued a successor on this very chip.
+        if (queue.empty()) {
+          read_nonempty_.clear(chip);
+          break;
         }
       }
     }
@@ -213,28 +228,11 @@ void Controller::dispatch_at(Microseconds t) {
 
 bool Controller::dispatch_write(const QueuedOp& qop, Microseconds t,
                                 Microseconds& blocked_until) {
+  ++work_.write_picks;
   const std::size_t si = slot_of(qop.cmd);
   const HostCommand& cmd = slot_cmd_[si];
-  const std::uint32_t units = units_;
-  const std::uint32_t planes = planes_;
   std::uint32_t chip = 0;
   if (config_.stripe_writes) {
-    eligible_.assign(units, 0);
-    bool any_idle = false;
-    Microseconds next_free = kTimeNever;
-    for (std::uint32_t c = 0; c < units; ++c) {
-      const Microseconds busy = ftl_.device().chip(c).busy_until();
-      if (busy <= t) {
-        eligible_[c] = 1;
-        any_idle = true;
-      } else {
-        next_free = std::min(next_free, busy);
-      }
-    }
-    if (!any_idle) {
-      blocked_until = next_free;
-      return false;
-    }
     // Plane affinity: a later member of a plane group prefers an idle
     // sibling plane of the die its group already landed on, so the
     // group's programs overlap in one aligned cell window. When no
@@ -249,24 +247,16 @@ bool Controller::dispatch_write(const QueuedOp& qop, Microseconds t,
           break;
         }
       }
-      if (anchor_die >= 0) {
-        bool sibling_idle = false;
-        for (std::uint32_t p = 0; p < planes; ++p) {
-          if (eligible_[static_cast<std::uint32_t>(anchor_die) * planes + p] != 0) {
-            sibling_idle = true;
-            break;
-          }
-        }
-        if (sibling_idle) {
-          for (std::uint32_t u = 0; u < units; ++u) {
-            if (u / planes != static_cast<std::uint32_t>(anchor_die)) eligible_[u] = 0;
-          }
-        }
-      }
     }
-    chip = ftl_.pick_chip_among(eligible_);
+    const ftl::UnitPick pick = ftl_.pick_idle_unit(t, anchor_die);
+    if (!pick.found) {
+      ++work_.write_picks_blocked;
+      blocked_until = pick.next_free;
+      return false;
+    }
+    chip = pick.unit;
     if (group != kNoPlaneGroup && anchor_die < 0) {
-      slot_group_die_[si].emplace_back(group, chip / planes);
+      slot_group_die_[si].emplace_back(group, chip / planes_);
     }
   } else {
     chip = ftl_.pick_unconstrained_chip();
@@ -354,6 +344,7 @@ void Controller::drain(Microseconds until) {
     const Microseconds t = events_.pop();
     // Coalesce duplicate wake-ups at the same instant.
     while (!events_.empty() && events_.peek() <= t) events_.pop();
+    ++work_.instants;
     dispatch_at(t);
     events_.end_instant();
     collect_finished();
@@ -400,7 +391,7 @@ PowerLossOutcome Controller::power_loss(Microseconds t) {
     outcome.cancelled_read_ops += queue.size();
     queue.clear();
   }
-  queued_reads_ = 0;
+  read_nonempty_.resize(read_nonempty_.universe());  // every read queue is empty
   // Every command still pending lost at least one op (collect_finished
   // already handled fully retired ones): abort it. Its record survives in
   // the finished state so callers can count what was in flight.

@@ -1,11 +1,11 @@
 // The command-scheduling controller: per-chip op queues, request striping,
 // event-driven retirement.
 //
-// A submitted HostCommand is split into per-page NandOps (nand_op.hpp).
+// A submitted HostCommand's pages are dispatched as ops of their own.
 // Write ops wait in one FIFO and are *bound to a chip at dispatch time*:
 // when the event loop reaches a time t, every chip whose timeline is free
 // at t is eligible, and the allocator's capacity-aware round-robin
-// (FtlBase::pick_chip_among) picks among the eligible set. That is what
+// (FtlBase::pick_idle_unit) picks among them in one scan. That is what
 // makes the pages of one request stripe across the array — the second
 // page never waits behind the first page's program, it lands on the next
 // idle chip. When no chip is idle the controller sleeps until the
@@ -32,6 +32,12 @@
 // commands occupy a power-of-two ring of parallel arrays (SoA: state,
 // command, remaining-count, result, done-slab, plane anchors) indexed by
 // id & mask, recycled as the id window slides.
+//
+// Dispatch cost (DESIGN.md §14.7) follows the queued work, not the unit
+// count: a write head costs one unit scan, a read pass visits only the
+// units whose read queue is nonempty (a bitset), and with wake-up
+// coalescing on, a write head that found no idle unit is not scanned
+// again at the same instant.
 #pragma once
 
 #include <cassert>
@@ -39,9 +45,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/controller/command.hpp"
 #include "src/controller/event_queue.hpp"
-#include "src/controller/nand_op.hpp"
 #include "src/ftl/ftl_base.hpp"
+#include "src/util/index_bitset.hpp"
 #include "src/util/ring_buffer.hpp"
 #include "src/util/slab_pool.hpp"
 
@@ -85,6 +92,16 @@ struct PowerLossOutcome {
   std::uint64_t aborted_commands = 0;     // had at least one unretired op
 };
 
+/// Deterministic dispatch work counts, cumulative over the controller's
+/// life: the same on every host, so they explain dispatch cost without a
+/// clock.
+struct DispatchWork {
+  std::uint64_t instants = 0;             // event-queue instants drained
+  std::uint64_t write_picks = 0;          // chip picks tried for a write head
+  std::uint64_t write_picks_blocked = 0;  // ... of which found no idle chip
+  std::uint64_t read_heads = 0;           // read-queue heads examined
+};
+
 /// Per-op trace entry.
 struct OpRecord {
   CommandId cmd = 0;
@@ -107,8 +124,8 @@ class Controller {
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
-  /// Enqueue a command, split into per-page ops. Returns its id; nothing
-  /// executes until drain().
+  /// Enqueue a command; its pages dispatch as separate ops. Returns its
+  /// id; nothing executes until drain().
   CommandId submit(const HostCommand& cmd);
 
   /// Run the event loop: dispatch every op that becomes ready at an event
@@ -157,7 +174,7 @@ class Controller {
   void on_idle(Microseconds now, Microseconds deadline);
 
   /// Attach observability (null = off, the default). The sink records one
-  /// NandOp event per retired device op; the sampler is ticked at every
+  /// NAND op event per retired device op; the sampler is ticked at every
   /// event-queue instant the drain loop reaches. Both pointers are
   /// borrowed — the harness owns them and they must outlive the drain.
   void set_observability(obs::TraceSink* sink, obs::StateSampler* sampler) {
@@ -178,6 +195,7 @@ class Controller {
 
   [[nodiscard]] const std::vector<OpRecord>& op_log() const { return op_log_; }
   [[nodiscard]] const ControllerConfig& config() const { return config_; }
+  [[nodiscard]] const DispatchWork& dispatch_work() const { return work_; }
 
  private:
   /// A slot walks kPending -> kFinished (done slab released; the result
@@ -260,7 +278,6 @@ class Controller {
   ftl::FtlBase& ftl_;
   ControllerConfig config_;
   EventQueue events_;
-  std::uint32_t units_ = 0;   // geometry cache: flat chip units
   std::uint32_t planes_ = 0;  // geometry cache: planes per die
 
   // SoA slot ring (see slot_of). Parallel arrays keep the fields the
@@ -285,9 +302,9 @@ class Controller {
   std::size_t finished_count_ = 0;  // slots in kFinished state
   RingBuffer<QueuedOp> write_queue_;               // FIFO, striped across chips
   std::vector<RingBuffer<QueuedOp>> read_queues_;  // per chip
-  std::size_t queued_reads_ = 0;  // total across read_queues_
+  util::IndexBitSet read_nonempty_;  // chips whose read queue is nonempty
   std::vector<OpRecord> op_log_;
-  std::vector<std::uint8_t> eligible_;          // scratch: idle-chip mask
+  DispatchWork work_;
   std::uint64_t live_ops_ = 0;
   obs::TraceSink* trace_ = nullptr;      // borrowed; null = tracing off
   obs::StateSampler* sampler_ = nullptr; // borrowed; null = sampling off

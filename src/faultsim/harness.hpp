@@ -129,7 +129,7 @@ WarmStart make_warm_start(const FaultSimConfig& config);
 
 /// Run one trial end to end: fill phase, seeded main phase, optional
 /// crash + reboot + oracle audit. With `sink` attached, the main phase
-/// (and crash / recovery) is traced: NandOp events per chip from the
+/// (and crash / recovery) is traced: NAND op events per chip from the
 /// controller, GC and parity events from the FTL, plus the
 /// power-loss cut and the recovery phase. The fill phase is not traced.
 /// With `warm` non-null the fill phase is skipped and the trial forks

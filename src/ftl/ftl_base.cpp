@@ -301,42 +301,44 @@ Result<nand::OpTiming> FtlBase::erase_block(const nand::BlockAddress& addr,
   return erased;
 }
 
-std::uint32_t FtlBase::pick_chip_impl(const std::vector<std::uint8_t>* eligible) {
+std::uint32_t FtlBase::pick_chip() {
   // Place the write on the chip with the most headroom (physical pages not
   // holding valid data), ties broken round-robin. Free-block counts alone
   // are too coarse: a chip whose pages are ~100% valid still shows a few
   // free blocks right after GC, keeps attracting writes, and eventually
   // packs itself into an un-collectable state.
   //
-  // The round-robin counter advances on every call, eligible set or not,
-  // so the controller's striped picks and the legacy picks walk the same
-  // sequence when the whole array is idle.
+  // pick_idle_unit applies the same rule to the units idle at a time and
+  // advances the same counter, so the controller's striped picks and the
+  // legacy picks walk the same sequence when the whole array is idle.
+  // This untimed pick (set-up fills call it per page) keeps its own loop
+  // free of the busy and anchor tests.
   const std::uint32_t chips = device_.geometry().num_units();
   const std::uint64_t chip_pages = device_.geometry().pages_per_unit();
   const std::uint32_t start = rr_chip_++ % chips;
-  bool found = false;
   std::uint32_t best = start;
-  std::uint64_t best_headroom = 0;
+  std::uint64_t best_headroom = chip_pages - blocks_.chip_valid_pages(start);
   std::uint32_t chip = start;
-  for (std::uint32_t i = 0; i < chips; ++i) {
-    if (eligible == nullptr || (*eligible)[chip] != 0) {
-      const std::uint64_t headroom = chip_pages - blocks_.chip_valid_pages(chip);
-      if (!found || headroom > best_headroom) {
-        found = true;
-        best = chip;
-        best_headroom = headroom;
-      }
-    }
+  for (std::uint32_t i = 1; i < chips; ++i) {
     if (++chip == chips) chip = 0;
+    const std::uint64_t headroom = chip_pages - blocks_.chip_valid_pages(chip);
+    if (headroom > best_headroom) {
+      best = chip;
+      best_headroom = headroom;
+    }
   }
-  // Callers guarantee a nonempty eligible set; `start` is a safe fallback.
   return best;
 }
 
-std::uint32_t FtlBase::pick_chip() { return pick_chip_impl(nullptr); }
-
-std::uint32_t FtlBase::pick_chip_among(const std::vector<std::uint8_t>& eligible) {
-  return pick_chip_impl(&eligible);
+UnitPick FtlBase::pick_idle_unit(Microseconds t, std::int64_t anchor_die) {
+  const nand::Geometry& geometry = device_.geometry();
+  const std::uint64_t unit_pages = geometry.pages_per_unit();
+  return pick_unit(
+      geometry.num_units(), geometry.planes_per_chip, rr_chip_, t, anchor_die,
+      [this](std::uint32_t u) { return device_.chip(u).busy_until(); },
+      [this, unit_pages](std::uint32_t u) {
+        return unit_pages - blocks_.chip_valid_pages(u);
+      });
 }
 
 void FtlBase::incremental_gc(Microseconds now) {

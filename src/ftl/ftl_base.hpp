@@ -60,6 +60,57 @@ struct HostOp {
   Microseconds complete = 0;  // when the data is durable / delivered
 };
 
+/// Outcome of pick_unit: the unit a write binds to, or — when no unit is
+/// idle — the earliest time one frees up.
+struct UnitPick {
+  std::uint32_t unit = 0;
+  bool found = false;
+  Microseconds next_free = kTimeNever;  // earliest busy_until when !found
+};
+
+/// The capacity-aware round robin in one pass over `units` units, from
+/// unit `rr % units`: among the units idle at `t` (busy_until(u) <= t),
+/// the one with the most headroom, ties to the first in cyclic order.
+/// With `anchor_die` >= 0, an idle unit among that die's `planes` units
+/// beats any unit off it (plane affinity); off the anchor die the pick
+/// spills to the whole idle set. On a pick `rr` advances by one; when no
+/// unit is idle it stays put and `next_free` is the earliest busy_until.
+/// A template over the two per-unit reads so the property test can drive
+/// it with plain arrays.
+template <typename BusyUntil, typename Headroom>
+UnitPick pick_unit(std::uint32_t units, std::uint32_t planes, std::uint32_t& rr,
+                   Microseconds t, std::int64_t anchor_die, BusyUntil busy_until,
+                   Headroom headroom) {
+  // The anchor die's units are [anchor_lo, anchor_lo + planes); without an
+  // anchor, anchor_lo = units makes `u - anchor_lo` wrap past every plane.
+  const std::uint32_t anchor_lo =
+      anchor_die >= 0 ? static_cast<std::uint32_t>(anchor_die) * planes : units;
+  // Each idle unit's rank is its headroom + 1 (0 = nothing idle yet), plus
+  // a bit above any headroom on the anchor die. Headroom is a page count,
+  // far below 2^62.
+  constexpr std::uint64_t kAnchored = std::uint64_t{1} << 62;
+  UnitPick pick;
+  std::uint64_t best_rank = 0;
+  std::uint32_t u = rr % units;
+  for (std::uint32_t i = 0; i < units; ++i) {
+    const Microseconds busy = busy_until(u);
+    if (busy <= t) {
+      const std::uint64_t rank =
+          headroom(u) + 1 + (u - anchor_lo < planes ? kAnchored : 0);
+      if (rank > best_rank) {
+        best_rank = rank;
+        pick.unit = u;
+      }
+    } else {
+      pick.next_free = std::min(pick.next_free, busy);
+    }
+    if (++u == units) u = 0;
+  }
+  pick.found = best_rank != 0;
+  if (pick.found) ++rr;
+  return pick;
+}
+
 class FtlBase : public ctrl::Allocator {
  public:
   FtlBase(const FtlConfig& config, nand::SequenceKind kind);
@@ -110,12 +161,13 @@ class FtlBase : public ctrl::Allocator {
   /// that bank extra idle work (rtfFTL, flexFTL) override and extend.
   void on_idle_plan(Microseconds now, Microseconds deadline) override;
 
-  /// Striping hook for the command controller: the legacy capacity-aware
-  /// round robin restricted to `eligible` chips (nonzero entries, indexed
-  /// by chip). With every chip eligible this is exactly pick_chip() —
-  /// which is what makes controller placement bit-identical to the legacy
-  /// path whenever the whole array is idle.
-  std::uint32_t pick_chip_among(const std::vector<std::uint8_t>& eligible);
+  /// Striping hook for the command controller: pick_chip()'s rule
+  /// restricted to the units idle at `t`, preferring `anchor_die`'s idle
+  /// planes (-1 = no anchor); see pick_unit. With the whole array idle
+  /// this is exactly pick_chip() — which is what makes controller
+  /// placement bit-identical to the legacy path whenever the whole array
+  /// is idle. The round robin advances only when a unit is found.
+  UnitPick pick_idle_unit(Microseconds t, std::int64_t anchor_die);
 
   /// The unconstrained legacy chip pick (controller's no-striping mode).
   std::uint32_t pick_unconstrained_chip() { return pick_chip(); }
@@ -261,9 +313,6 @@ class FtlBase : public ctrl::Allocator {
   Result<HostOp> host_program(std::uint32_t chip, Lpn lpn,
                               std::span<const std::uint8_t> payload, Microseconds now,
                               double buffer_utilization, std::uint32_t stream);
-
-  /// Capacity-aware round robin over chips; `eligible` nullptr = all.
-  std::uint32_t pick_chip_impl(const std::vector<std::uint8_t>* eligible);
 
   /// collect_block minus the tracing wrapper.
   bool collect_block_impl(std::uint32_t chip, std::uint32_t victim, Microseconds now,

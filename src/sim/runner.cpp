@@ -4,6 +4,7 @@
 #include <cassert>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -220,25 +221,68 @@ std::optional<std::string> flag_value(int argc, char** argv, const std::string& 
   return std::nullopt;
 }
 
-/// A positive decimal count flag: `fallback` when absent; an error — with
-/// the offending flag printed to stderr — for anything but digits that
-/// fit T, and for 0.
+/// Print why a flag value was rejected; returns the error for the caller.
+ErrorCode reject(std::string_view flag, std::string_view value, const char* expected) {
+  std::fprintf(stderr, "invalid %.*s value: '%.*s' (expected %s)\n",
+               static_cast<int>(flag.size()), flag.data(), static_cast<int>(value.size()),
+               value.data(), expected);
+  return ErrorCode::kInvalidArgument;
+}
+
+/// The whole of `value` as an unsigned decimal integer <= `max`.
+std::optional<std::uint64_t> decimal(std::string_view value, std::uint64_t max) {
+  std::uint64_t parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc{} || stop != end || parsed > max) return std::nullopt;
+  return parsed;
+}
+
+/// A positive count flag out of argv: `fallback` when absent, an error
+/// for anything parse_count_value rejects.
 template <typename T>
 Result<T> parse_count_flag(int argc, char** argv, const std::string& name, T fallback) {
   const std::optional<std::string> value = flag_value(argc, argv, name);
   if (!value) return fallback;
-  T parsed = 0;
-  const char* end = value->data() + value->size();
-  const auto [stop, error] = std::from_chars(value->data(), end, parsed);
-  if (error != std::errc{} || stop != end || parsed == 0) {
-    std::fprintf(stderr, "invalid %s value: '%s' (expected a positive integer)\n",
-                 name.c_str(), value->c_str());
-    return ErrorCode::kInvalidArgument;
+  const Result<std::uint64_t> parsed =
+      parse_count_value(name, *value, std::numeric_limits<T>::max());
+  if (!parsed.is_ok()) return parsed.code();
+  return static_cast<T>(parsed.value());
+}
+
+}  // namespace
+
+Result<std::uint64_t> parse_count_value(std::string_view flag, std::string_view value,
+                                        std::uint64_t max) {
+  const std::optional<std::uint64_t> parsed = decimal(value, max);
+  if (!parsed || *parsed == 0) return reject(flag, value, "a positive integer");
+  return *parsed;
+}
+
+Result<std::uint64_t> parse_uint_value(std::string_view flag, std::string_view value,
+                                       std::uint64_t max) {
+  const std::optional<std::uint64_t> parsed = decimal(value, max);
+  if (!parsed) return reject(flag, value, "a non-negative integer");
+  return *parsed;
+}
+
+Result<double> parse_fraction_value(std::string_view flag, std::string_view value) {
+  double parsed = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [stop, error] =
+      std::from_chars(value.data(), end, parsed, std::chars_format::fixed);
+  // The negated range test also rejects NaN.
+  if (error != std::errc{} || stop != end || !(parsed >= 0.0 && parsed <= 1.0)) {
+    return reject(flag, value, "a number in [0, 1]");
   }
   return parsed;
 }
 
-}  // namespace
+Result<bool> parse_switch_value(std::string_view flag, std::string_view value) {
+  if (value == "0") return false;
+  if (value == "1") return true;
+  return reject(flag, value, "0 or 1");
+}
 
 Result<std::uint32_t> parse_jobs_flag(int argc, char** argv) {
   return parse_count_flag<std::uint32_t>(argc, argv, "--jobs", 1);

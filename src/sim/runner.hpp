@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/flex_ftl.hpp"
@@ -128,6 +129,21 @@ std::vector<SimResult> run_all_ftls(workload::Preset preset, const ExperimentSpe
 std::vector<std::vector<SimResult>> run_preset_matrix(
     const std::vector<workload::Preset>& presets, const ExperimentSpec& spec,
     std::uint32_t jobs);
+
+/// Parse the value of one numeric bench flag; `flag` names it in the
+/// error message. Each returns kInvalidArgument — after printing the flag
+/// and its value to stderr — unless `value` is exactly of its kind:
+///   parse_count_value     a positive decimal integer no larger than `max`
+///   parse_uint_value      a decimal integer (0 allowed) no larger than `max`
+///   parse_fraction_value  a decimal number in [0, 1]
+///   parse_switch_value    "0" or "1"
+/// No sign, no surrounding blanks, no trailing characters.
+Result<std::uint64_t> parse_count_value(std::string_view flag, std::string_view value,
+                                        std::uint64_t max = UINT64_MAX);
+Result<std::uint64_t> parse_uint_value(std::string_view flag, std::string_view value,
+                                       std::uint64_t max = UINT64_MAX);
+Result<double> parse_fraction_value(std::string_view flag, std::string_view value);
+Result<bool> parse_switch_value(std::string_view flag, std::string_view value);
 
 /// Parse a `--jobs=N` / `--jobs N` pair out of argv (for the bench
 /// drivers). Returns 1 when absent, and kInvalidArgument — after printing

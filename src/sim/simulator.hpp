@@ -172,7 +172,7 @@ class Simulator {
   [[nodiscard]] ctrl::Controller& controller() { return controller_; }
 
   /// Attach / detach (nullptr) a trace sink: host-request and power-loss
-  /// events from the replay loop, NandOp events from the controller, GC
+  /// events from the replay loop, NAND op events from the controller, GC
   /// and parity events from the FTL. Borrowed pointer; detach before the
   /// sink dies. Null by default — the disabled cost is a pointer test.
   void set_trace_sink(obs::TraceSink* sink);

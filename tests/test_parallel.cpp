@@ -250,5 +250,48 @@ TEST(ParallelRunner, ParseRequestsFlagRejectsMalformedCounts) {
   EXPECT_EQ(parse({"bench", "--requests", "-5"}).code(), ErrorCode::kInvalidArgument);
 }
 
+TEST(ParallelRunner, ParseCountValueHonorsItsBound) {
+  EXPECT_EQ(sim::parse_count_value("--jobs", "4294967295", UINT32_MAX).value(), UINT32_MAX);
+  EXPECT_EQ(sim::parse_count_value("--jobs", "4294967296", UINT32_MAX).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(sim::parse_count_value("--victim-gap", "5000").value(), 5000u);
+  for (const char* bad : {"abc", "0", "-1", "+1", " 1", "1 ", "1.0", ""}) {
+    EXPECT_EQ(sim::parse_count_value("--quantum", bad).code(), ErrorCode::kInvalidArgument)
+        << "'" << bad << "'";
+  }
+}
+
+TEST(ParallelRunner, ParseUintValueAcceptsZero) {
+  EXPECT_EQ(sim::parse_uint_value("--seed", "0").value(), 0u);
+  EXPECT_EQ(sim::parse_uint_value("--seed", "18446744073709551615").value(), UINT64_MAX);
+  EXPECT_EQ(sim::parse_uint_value("--budget", "10", UINT32_MAX).value(), 10u);
+  EXPECT_EQ(sim::parse_uint_value("--budget", "4294967296", UINT32_MAX).code(),
+            ErrorCode::kInvalidArgument);
+  for (const char* bad : {"x", "-1", "+0", "7x", "", "18446744073709551616"}) {
+    EXPECT_EQ(sim::parse_uint_value("--seed", bad).code(), ErrorCode::kInvalidArgument)
+        << "'" << bad << "'";
+  }
+}
+
+TEST(ParallelRunner, ParseFractionValueStaysInTheUnitInterval) {
+  EXPECT_EQ(sim::parse_fraction_value("--victim-rf", "0").value(), 0.0);
+  EXPECT_EQ(sim::parse_fraction_value("--victim-rf", "0.25").value(), 0.25);
+  EXPECT_EQ(sim::parse_fraction_value("--victim-rf", "1").value(), 1.0);
+  for (const char* bad : {"zz", "1.5", "-0.1", "0.5x", "", "nan", "inf", "1e-1", "+0.5"}) {
+    EXPECT_EQ(sim::parse_fraction_value("--victim-rf", bad).code(),
+              ErrorCode::kInvalidArgument)
+        << "'" << bad << "'";
+  }
+}
+
+TEST(ParallelRunner, ParseSwitchValueTakesZeroOrOne) {
+  EXPECT_FALSE(sim::parse_switch_value("--stripe", "0").value());
+  EXPECT_TRUE(sim::parse_switch_value("--stripe", "1").value());
+  for (const char* bad : {"x", "2", "01", "true", ""}) {
+    EXPECT_EQ(sim::parse_switch_value("--stripe", bad).code(), ErrorCode::kInvalidArgument)
+        << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace rps
