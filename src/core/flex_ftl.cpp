@@ -377,10 +377,14 @@ bool FlexFtl::roll_back(Lpn lpn, const nand::PageAddress& destroyed) {
   // The older copy may sit in a GC victim block whose erase the power loss
   // voided (it was charged after the cut): pull it back out of the free
   // pool before hanging valid pages off it.
-  blocks_.reclaim({source->chip, source->block}, ftl::BlockUse::kFull);
+  const nand::BlockAddress home{source->chip, source->block};
+  blocks_.reclaim(home, ftl::BlockUse::kFull);
   mapping_.update(lpn, *source);  // returns `destroyed`; fix the counters
   blocks_.remove_valid(from);
-  blocks_.add_valid({source->chip, source->block});
+  blocks_.add_valid(home);
+  // A GC scan of the source block may already have passed the revived
+  // page (it had been relocated): rewind the scan so GC finds it again.
+  blocks_.set_gc_cursor(home, std::min(blocks_.gc_cursor(home), source->pos.wordline));
   return true;
 }
 

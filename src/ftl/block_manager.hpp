@@ -122,6 +122,8 @@ class BlockManager {
   /// would skip one by one. Purely an accelerator: never serialized
   /// (snapshots restore it to 0, a conservative full rescan) and reset
   /// whenever the block changes life (allocate/release/retire/reclaim).
+  /// A reboot that revives a relocated page (flexFTL's roll-back, the
+  /// mapping rebuild) rewinds it to that page's word line.
   [[nodiscard]] std::uint32_t gc_cursor(nand::BlockAddress addr) const {
     return info(addr).gc_cursor;
   }

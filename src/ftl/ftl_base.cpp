@@ -123,13 +123,15 @@ Result<HostOp> FtlBase::read(Lpn lpn, Microseconds now) {
     ++stats_.unmapped_reads;
     return HostOp{now};
   }
-  Result<nand::NandDevice::ReadResult> got = device_.read(addr.value(), now);
-  assert(got.is_ok());
-  if (!got.value().data.is_ok()) {
+  // A host read moves no data through the model: the sensing outcome and
+  // its timing are all it needs, so the page's record is never copied.
+  const Result<nand::NandDevice::SenseResult> sensed = device_.sense(addr.value(), now);
+  assert(sensed.is_ok());
+  if (!sensed.value().status.is_ok()) {
     ++stats_.read_errors;
-    return got.value().data.code();
+    return sensed.value().status.code();
   }
-  return HostOp{got.value().timing.complete};
+  return HostOp{sensed.value().timing.complete};
 }
 
 Result<nand::PageImage> FtlBase::read_data(Lpn lpn, Microseconds now,
@@ -197,35 +199,31 @@ bool FtlBase::collect_block_impl(std::uint32_t chip, std::uint32_t victim,
   std::uint32_t copies = 0;
   // Resume where the last (budget-capped) scan of this block life left
   // off: everything below the cursor was invalid or already relocated,
-  // and on a kFull block neither comes back — a fresh scan would walk
-  // those pages only to skip them. The cursor freezes at the first
-  // unreadable page so corrupted data is revisited, not silently passed.
-  bool frozen = false;
+  // and on a kFull block neither comes back short of a reboot, which
+  // rewinds the cursor — a fresh scan would walk those pages only to
+  // skip them.
   const std::uint32_t bits = block.bits();
   for (std::uint32_t wl = blocks_.gc_cursor(victim_addr); wl < block.wordlines();
        ++wl) {
-    if (!frozen) blocks_.set_gc_cursor(victim_addr, wl);
+    blocks_.set_gc_cursor(victim_addr, wl);
     for (std::uint32_t pass = 0; pass < bits; ++pass) {
       if (blocks_.valid_pages(victim_addr) == 0) break;
       const nand::PagePos pos{wl, nand::type_of_pass(pass, bits)};
       if (block.page_state(pos) != nand::PageState::kValid) continue;
       const nand::PageAddress page_addr{chip, victim, pos};
       // Validity test: does the mapping still point here? (peek — the
-      // payload copy is only paid for pages that actually relocate)
-      const Lpn lpn = block.peek(pos)->lpn;
-      if (!mapping_.maps_to(lpn, page_addr)) continue;
+      // record is copied only for pages that actually relocate)
+      const nand::PageData* record = block.peek(pos);
+      if (!mapping_.maps_to(record->lpn, page_addr)) continue;
       if (copies >= max_copies) return false;           // out of copy budget
       if (device_.chip(chip).busy_until() >= deadline) return false;  // out of idle budget
-      // Charge the copy: page read, then FTL-policy program.
-      Result<nand::NandDevice::ReadResult> got = device_.read(page_addr, now);
-      assert(got.is_ok());
-      if (!got.value().data.is_ok()) {
-        frozen = true;  // corrupted page: leave for recovery, keep it in view
-        continue;
-      }
-      Result<Microseconds> programmed =
-          allocate_gc_page(chip, lpn, std::move(got.value().data).take(),
-                           got.value().timing.complete, background);
+      // Charge the copy: the page's sensing, then an FTL-policy program
+      // of the record the scan peeked. The page is intact (kValid above,
+      // and block_mut settled any pending erase), so the sensing is too.
+      const Result<nand::NandDevice::SenseResult> sensed = device_.sense(page_addr, now);
+      assert(sensed.is_ok() && sensed.value().status.is_ok());
+      Result<Microseconds> programmed = allocate_gc_page(
+          chip, record->lpn, *record, sensed.value().timing.complete, background);
       if (!programmed.is_ok()) return false;  // destination exhausted; retry later
       ++stats_.gc_copy_pages;
       ++copies;
@@ -464,6 +462,10 @@ void FtlBase::rebuild_mapping() {
     fresh_blocks.reclaim(home, BlockUse::kFull);
     fresh.update(lpn, newest[lpn].addr);
     fresh_blocks.add_valid(home);
+    // The newest intact copy may be one a GC scan had already relocated
+    // (its newer copy died in the cut): rewind the scan so GC finds it.
+    fresh_blocks.set_gc_cursor(
+        home, std::min(fresh_blocks.gc_cursor(home), newest[lpn].addr.pos.wordline));
   }
   mapping_ = std::move(fresh);
   blocks_ = std::move(fresh_blocks);

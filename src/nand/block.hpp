@@ -68,18 +68,34 @@ class Block {
     store_programmed(pos, data);
   }
 
-  /// Read a page: kNotProgrammed for erased pages, kEccUncorrectable for
-  /// pages destroyed by a power loss.
-  [[nodiscard]] Result<PageData> read(PagePos pos) const {
-    if (!contains(pos)) return ErrorCode::kOutOfRange;
+  /// Sense a page without copying its record: ok for an intact page,
+  /// kNotProgrammed for an erased one, kEccUncorrectable for one a power
+  /// loss destroyed. The outcome comes from the word-line program state;
+  /// the page slot is loaded only while the block holds a corrupted page.
+  /// Counts toward reads_since_erase, like every sensing pass.
+  [[nodiscard]] Status sense(PagePos pos) const {
+    if (!contains(pos)) return Status{ErrorCode::kOutOfRange};
     ++reads_since_erase_;
-    const PageSlot& s = slot(pos);
-    switch (s.state) {
-      case PageState::kErased: return ErrorCode::kNotProgrammed;
-      case PageState::kCorrupted: return ErrorCode::kEccUncorrectable;
-      case PageState::kValid: return s.record;
+    if (!program_state_.is_programmed(pos)) return Status{ErrorCode::kNotProgrammed};
+    if (corrupted_pages_ != 0 && slot(pos).state == PageState::kCorrupted) {
+      return Status{ErrorCode::kEccUncorrectable};
     }
-    return ErrorCode::kInvalidArgument;
+    return Status::ok();
+  }
+
+  /// Read a page: sense() plus a copy of the stored record.
+  [[nodiscard]] Result<PageData> read(PagePos pos) const {
+    const Status sensed = sense(pos);
+    if (!sensed.is_ok()) return sensed.code();
+    return record(pos);
+  }
+
+  /// The record of a page sense() just found intact. Senses nothing and
+  /// counts no read: the copy half of a read whose sensing the caller
+  /// has already charged.
+  [[nodiscard]] const PageData& record(PagePos pos) const {
+    assert(slot(pos).state == PageState::kValid);
+    return slot(pos).record;
   }
 
   /// Zero-copy read: the stored record in place, or nullptr unless the

@@ -90,24 +90,24 @@ class Chip {
     return commit_program(b, pos, data, now);
   }
 
-  /// Read a page. It queues behind whatever occupies the chip. Timing
-  /// advances even for ECC-uncorrectable reads (the sensing happened);
-  /// the data result is reported separately.
-  struct ReadOutcome {
+  /// Sense a page: the read's chip time and its outcome (Block::sense).
+  /// It queues behind whatever occupies the chip. Timing advances even
+  /// for ECC-uncorrectable reads (the sensing happened); the outcome is
+  /// reported separately. A read that needs the record copies it from
+  /// block(b) afterwards (NandDevice::read).
+  struct SenseOutcome {
     OpTiming timing;
-    Result<PageData> data = ErrorCode::kNotProgrammed;
+    Status status;
   };
-  Result<ReadOutcome> read(std::uint32_t b, PagePos pos, Microseconds now) {
+  Result<SenseOutcome> sense(std::uint32_t b, PagePos pos, Microseconds now) {
     if (b >= blocks_.size()) return ErrorCode::kOutOfRange;
     if (!blocks_[b].contains(pos)) return ErrorCode::kOutOfRange;
     settle_erases(now);
     materialize_erase(b);
     ++counters_.reads;
-    ReadOutcome outcome;
-    outcome.data = blocks_[b].read(pos);
+    const Status status = blocks_[b].sense(pos);
     const Microseconds start = occupy(now, timing_.read_us);
-    outcome.timing = OpTiming{start, busy_until_};
-    return outcome;
+    return SenseOutcome{OpTiming{start, busy_until_}, status};
   }
 
   /// Erase block `b`. The timeline charge (and the erase counter) is

@@ -146,23 +146,38 @@ class NandDevice {
     return OpTiming{bus_start, cell.complete};
   }
 
-  /// Read: cell sensing, then bus-out transfer.
+  /// Sense: cell sensing, then bus-out transfer — a read's full timing
+  /// and its outcome (ok, kNotProgrammed, kEccUncorrectable), without the
+  /// record. Host reads need nothing more (FtlBase::read).
+  struct SenseResult {
+    OpTiming timing;  // start of sensing .. end of bus transfer
+    Status status;
+  };
+  Result<SenseResult> sense(const PageAddress& addr, Microseconds now) {
+    if (!in_range(addr)) return ErrorCode::kOutOfRange;
+    const std::uint32_t physical = bad_blocks_.translate(addr.chip, addr.block);
+    const Result<Chip::SenseOutcome> sensed =
+        chips_[addr.chip]->sense(physical, addr.pos, now);
+    if (!sensed.is_ok()) return sensed.code();
+    const std::uint32_t channel = geometry_.channel_of_unit(addr.chip);
+    const Microseconds bus_start =
+        occupy_channel(channel, sensed.value().timing.complete);
+    return SenseResult{OpTiming{sensed.value().timing.start, bus_start + timing_.transfer_us},
+                       sensed.value().status};
+  }
+
+  /// Read: sense() plus a copy of the record of an intact page — for the
+  /// callers that move data (payload reads, backups, recovery).
   struct ReadResult {
     OpTiming timing;             // start of sensing .. end of bus transfer
     Result<PageData> data = ErrorCode::kNotProgrammed;
   };
   Result<ReadResult> read(const PageAddress& addr, Microseconds now) {
-    if (!in_range(addr)) return ErrorCode::kOutOfRange;
-    const std::uint32_t physical = bad_blocks_.translate(addr.chip, addr.block);
-    Result<Chip::ReadOutcome> sensed = chips_[addr.chip]->read(physical, addr.pos, now);
+    const Result<SenseResult> sensed = sense(addr, now);
     if (!sensed.is_ok()) return sensed.code();
-    const std::uint32_t channel = geometry_.channel_of_unit(addr.chip);
-    const Microseconds bus_start =
-        occupy_channel(channel, sensed.value().timing.complete);
-    ReadResult result;
-    result.timing = OpTiming{sensed.value().timing.start, bus_start + timing_.transfer_us};
-    result.data = sensed.value().data;
-    return result;
+    const SenseResult& s = sensed.value();
+    if (!s.status.is_ok()) return ReadResult{s.timing, s.status.code()};
+    return ReadResult{s.timing, block({addr.chip, addr.block}).record(addr.pos)};
   }
 
   /// Optional payload bytes of the stored pages, keyed by write signature

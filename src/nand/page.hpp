@@ -82,8 +82,11 @@ enum class PageState : std::uint8_t {
   kCorrupted,     // programmed but destroyed (power loss) — ECC-uncorrectable
 };
 
-/// One page of a block: its lifecycle state and, while valid, its record.
-/// State and record share a slot (40 bytes) so a read touches one place.
+/// One page of a block: its lifecycle state and, while valid, its record
+/// (40 bytes). A host read never loads it: Block::sense takes the outcome
+/// from the block's word-line program state, and looks at a slot only
+/// while the block holds a corrupted page. Reads that move data (GC
+/// scans, backups, recovery, payload reads) load the slot for the record.
 struct PageSlot {
   PageData record;  // default unless kValid
   PageState state = PageState::kErased;

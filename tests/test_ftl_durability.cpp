@@ -4,6 +4,9 @@
 // that flexFTL's recovery never loses acknowledged data.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "src/core/flex_ftl.hpp"
 #include "src/ftl/page_ftl.hpp"
 #include "src/ftl/parity_ftl.hpp"
@@ -112,6 +115,73 @@ TEST(RebuildMappingBehaviour, NewestVersionWinsOverStaleCopies) {
   const nand::PageAddress live = ftl.mapping().lookup(5).value();
   ftl.rebuild_mapping();
   EXPECT_EQ(ftl.mapping().lookup(5).value(), live);
+}
+
+/// Exposes FtlBase::collect_block, so a test can stop a GC scan part-way.
+template <class Ftl>
+class ScanFtl : public Ftl {
+ public:
+  using Ftl::Ftl;
+  using ftl::FtlBase::collect_block;
+};
+
+// A cut that destroys a GC copy revives its source page: the reboot maps
+// the LPN back to it (flexFTL's roll-back, the other FTLs' mapping
+// rebuild). A budget-capped scan of the source block may already have
+// passed that page, so the reboot must rewind the scan, or the block
+// keeps a valid page no scan reaches and can never be collected.
+template <class Ftl>
+void expect_revived_page_collectable(sim::FtlKind kind) {
+  SCOPED_TRACE(sim::to_string(kind));
+  ScanFtl<Ftl> ftl(ftl::FtlConfig::tiny());
+  const Lpn n = ftl.exported_pages();
+  for (Lpn lpn = 0; lpn < n; ++lpn) {
+    ASSERT_TRUE(ftl.write(lpn, ftl.device().all_idle_at(), 0.5).is_ok());
+  }
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(ftl.write(rng.next_below(n), ftl.device().all_idle_at(), 0.5).is_ok());
+  }
+  // A full block on unit 0 whose first two live pages, in scan order, sit
+  // on different word lines.
+  const std::uint32_t bits = ftl.device().geometry().bits_per_cell;
+  std::optional<nand::PageAddress> first;
+  for (std::uint32_t b = 0; b < ftl.device().visible_blocks() && !first; ++b) {
+    if (ftl.blocks().use({0, b}) != ftl::BlockUse::kFull) continue;
+    const nand::Block& block = ftl.device().block({0, b});
+    std::vector<nand::PageAddress> live;
+    for (std::uint32_t wl = 0; wl < block.wordlines() && live.size() < 2; ++wl) {
+      for (std::uint32_t pass = 0; pass < bits && live.size() < 2; ++pass) {
+        const nand::PageAddress addr{0, b, {wl, nand::type_of_pass(pass, bits)}};
+        if (block.page_state(addr.pos) != nand::PageState::kValid) continue;
+        if (ftl.mapping().maps_to(block.record(addr.pos).lpn, addr)) live.push_back(addr);
+      }
+    }
+    if (live.size() == 2 && live[0].pos.wordline < live[1].pos.wordline) first = live[0];
+  }
+  ASSERT_TRUE(first.has_value());
+  const nand::BlockAddress victim{0, first->block};
+  const Lpn lpn = ftl.device().block(victim).record(first->pos).lpn;
+
+  // Relocate one page and stop: the scan cursor moves past `first`.
+  ASSERT_FALSE(ftl.collect_block(0, victim.block, ftl.device().all_idle_at(), kTimeNever,
+                                 /*background=*/false, /*max_copies=*/1));
+  ASSERT_FALSE(ftl.mapping().maps_to(lpn, *first));
+  // Cut while the copy programs; the reboot revives `first`.
+  const Microseconds cut = ftl.device().chip(0).busy_until() - 1;
+  const std::vector<nand::PowerLossVictim> victims = ftl.device().inject_power_loss(cut);
+  (void)sim::crash_reboot(kind, ftl, victims, cut);
+  ASSERT_TRUE(ftl.mapping().maps_to(lpn, *first));
+
+  EXPECT_TRUE(ftl.collect_block(0, victim.block, ftl.device().all_idle_at(), kTimeNever,
+                                /*background=*/false));
+  EXPECT_EQ(ftl.blocks().valid_pages(victim), 0u);
+  EXPECT_TRUE(ftl.check_consistency());
+}
+
+TEST(RebootGcCursor, RevivedPageStaysCollectable) {
+  expect_revived_page_collectable<ftl::PageFtl>(sim::FtlKind::kPage);
+  expect_revived_page_collectable<core::FlexFtl>(sim::FtlKind::kFlex);
 }
 
 TEST(WearStats, TracksEraseDistribution) {

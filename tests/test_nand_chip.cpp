@@ -45,7 +45,7 @@ TEST(Chip, RejectedProgramLeavesTimelineUntouched) {
 TEST(Chip, ReadsQueueBehindPrograms) {
   Chip chip(4, 4, SequenceKind::kRps, TimingSpec::paper());
   ASSERT_TRUE(chip.program(0, {0, PageType::kLsb}, {}, 0).is_ok());
-  const auto read = chip.read(0, {0, PageType::kLsb}, 100);
+  const auto read = chip.sense(0, {0, PageType::kLsb}, 100);
   ASSERT_TRUE(read.is_ok());
   EXPECT_EQ(read.value().timing.start, 500);  // waits for the program
 }
@@ -55,11 +55,11 @@ TEST(Chip, ReadTimingAndData) {
   PageData d;
   d.lpn = 3;
   ASSERT_TRUE(chip.program(0, {0, PageType::kLsb}, d, 0).is_ok());
-  const Result<Chip::ReadOutcome> read = chip.read(0, {0, PageType::kLsb}, 600);
+  const Result<Chip::SenseOutcome> read = chip.sense(0, {0, PageType::kLsb}, 600);
   ASSERT_TRUE(read.is_ok());
   EXPECT_EQ(read.value().timing.busy_time(), 40);
-  ASSERT_TRUE(read.value().data.is_ok());
-  EXPECT_EQ(read.value().data.value().lpn, 3u);
+  ASSERT_TRUE(read.value().status.is_ok());
+  EXPECT_EQ(chip.block(0).record({0, PageType::kLsb}).lpn, 3u);
 }
 
 TEST(Chip, Counters) {
@@ -67,7 +67,7 @@ TEST(Chip, Counters) {
   ASSERT_TRUE(chip.program(0, {0, PageType::kLsb}, {}, 0).is_ok());
   ASSERT_TRUE(chip.program(0, {1, PageType::kLsb}, {}, 0).is_ok());
   ASSERT_TRUE(chip.program(0, {0, PageType::kMsb}, {}, 0).is_ok());
-  ASSERT_TRUE(chip.read(0, {0, PageType::kLsb}, 0).is_ok());
+  ASSERT_TRUE(chip.sense(0, {0, PageType::kLsb}, 0).is_ok());
   ASSERT_TRUE(chip.erase(1, 0).is_ok());
   EXPECT_EQ(chip.counters().lsb_programs, 2u);
   EXPECT_EQ(chip.counters().msb_programs, 1u);
@@ -132,7 +132,7 @@ TEST(Chip, PowerLossWhileIdleHitsNothing) {
 TEST(Chip, BusyTimeAccumulates) {
   Chip chip = make_chip();
   ASSERT_TRUE(chip.program(0, {0, PageType::kLsb}, {}, 0).is_ok());
-  ASSERT_TRUE(chip.read(0, {0, PageType::kLsb}, 1'000'000).is_ok());
+  ASSERT_TRUE(chip.sense(0, {0, PageType::kLsb}, 1'000'000).is_ok());
   EXPECT_EQ(chip.busy_time_total(), 540);
 }
 

@@ -108,7 +108,7 @@ TEST(TlcChipModel, CutVoidsWorkChargedPastIt) {
   // stops at the cut.
   Chip chip = tlc_chip();
   ASSERT_TRUE(chip.program(1, {0, PageType::kLsb}, {}, 0).is_ok());  // [0, 400)
-  ASSERT_TRUE(chip.read(1, {0, PageType::kLsb}, 0).is_ok());         // [400, 460)
+  ASSERT_TRUE(chip.sense(1, {0, PageType::kLsb}, 0).is_ok());        // [400, 460)
   ASSERT_TRUE(chip.erase(1, 0).is_ok());                             // [460, 5460)
   ASSERT_TRUE(chip.program(0, {0, PageType::kLsb}, {}, 0).is_ok());  // [5460, 5860)
   const auto victim = chip.apply_power_loss(450);

@@ -11,8 +11,13 @@
 // geometry (tests/data/snapshot_digests_paper.txt): any change to the
 // snapshot encoding, the FTL placement logic, or the device model shows
 // up as a digest mismatch and must come with a version bump + new goldens.
+// PostReplayDigestsMatchPinned does the same for the state seeded OLTP
+// replays leave on the tiny devices (tests/data/snapshot_digests_replay.txt),
+// which pins what host reads change: timelines, read counters and every
+// block's read-disturb count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -26,6 +31,7 @@
 #include "src/sim/simulator.hpp"
 #include "src/sim/snapshot.hpp"
 #include "src/util/random.hpp"
+#include "src/workload/generator.hpp"
 
 namespace rps::sim {
 namespace {
@@ -259,6 +265,22 @@ TEST(SnapshotValidation, WrongGeometryIsRejected) {
   EXPECT_FALSE(snapshot.restore(*target));
 }
 
+/// "<name> <digest>" lines of a tests/data golden file.
+std::map<std::string, std::string> load_pinned(const std::string& file) {
+  std::map<std::string, std::string> pinned;
+  std::ifstream in(std::string(RPS_TESTS_DATA_DIR) + "/" + file);
+  std::string name, digest;
+  while (in >> name >> digest) pinned[name] = digest;
+  return pinned;
+}
+
+std::string hex_digest(const Snapshot& snapshot) {
+  char out[17];
+  std::snprintf(out, sizeof out, "%016llx",
+                static_cast<unsigned long long>(snapshot.digest()));
+  return out;
+}
+
 // Golden digests: capture digest of a fixed 5% precondition fill on the
 // paper geometry, one per FTL. Pinned in the repo so serialization-format
 // or placement-behavior drift cannot land silently. Regenerate (after an
@@ -266,26 +288,140 @@ TEST(SnapshotValidation, WrongGeometryIsRejected) {
 // copying the "actual" values from the failure output into
 // tests/data/snapshot_digests_paper.txt.
 TEST(SnapshotGolden, PaperGeometryDigestsMatchPinned) {
-  std::map<std::string, std::string> pinned;
-  {
-    std::ifstream in(std::string(RPS_TESTS_DATA_DIR) +
-                     "/snapshot_digests_paper.txt");
-    ASSERT_TRUE(in.good()) << "missing tests/data/snapshot_digests_paper.txt";
-    std::string name, digest;
-    while (in >> name >> digest) pinned[name] = digest;
-  }
-  ASSERT_EQ(pinned.size(), std::size(kKinds));
+  std::map<std::string, std::string> pinned = load_pinned("snapshot_digests_paper.txt");
+  ASSERT_EQ(pinned.size(), std::size(kKinds)) << "tests/data/snapshot_digests_paper.txt";
 
   ExperimentSpec spec;  // paper geometry: the FtlConfig default
   spec.sim.precondition_fraction = 0.05;
   for (const FtlKind kind : kKinds) {
-    const Snapshot snapshot = make_precondition_snapshot(kind, spec);
-    char actual[17];
-    std::snprintf(actual, sizeof actual, "%016llx",
-                  static_cast<unsigned long long>(snapshot.digest()));
+    const std::string actual = hex_digest(make_precondition_snapshot(kind, spec));
     ASSERT_TRUE(pinned.count(to_string(kind))) << to_string(kind);
     EXPECT_EQ(pinned[to_string(kind)], actual)
         << to_string(kind) << ": actual " << actual;
+  }
+}
+
+// Post-replay goldens: the device state a seeded OLTP replay (70% reads)
+// leaves behind — chip and channel timelines, read counters and every
+// block's read-disturb count — pinned per case in
+// tests/data/snapshot_digests_replay.txt. The "-crash" cases cut power
+// with programs in flight, reboot and replay again, so host reads also
+// land in blocks that hold corrupted pages. Regenerate only together with
+// an intentional behaviour change, as for the paper-geometry goldens.
+struct ReplayCase {
+  const char* name;
+  FtlKind kind;
+  bool tlc;
+  bool crash;
+};
+
+constexpr ReplayCase kReplayCases[] = {
+    {"pageFTL", FtlKind::kPage, false, false},
+    {"parityFTL", FtlKind::kParity, false, false},
+    {"rtfFTL", FtlKind::kRtf, false, false},
+    {"flexFTL", FtlKind::kFlex, false, false},
+    {"slcFTL", FtlKind::kSlc, false, false},
+    {"flexFTL-TLC", FtlKind::kFlex, true, false},
+    {"flexFTL-crash", FtlKind::kFlex, false, true},
+    {"pageFTL-crash", FtlKind::kPage, false, true},
+};
+
+workload::Trace oltp_trace(const ftl::FtlBase& ftl, std::uint64_t requests,
+                           std::uint64_t seed) {
+  return workload::generate(workload::preset_config(
+      workload::Preset::kOltp, ftl.exported_pages() * 8 / 10, requests, seed));
+}
+
+/// Read-disturb counts of every block holding a corrupted page, keyed by
+/// (unit, physical block). Chip::block settles a pending erase of each
+/// block it visits, as an op touching the block would; the pinned digests
+/// include that.
+std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> corrupted_block_reads(
+    const nand::NandDevice& device) {
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> reads;
+  for (std::uint32_t u = 0; u < device.num_units(); ++u) {
+    const nand::Chip& chip = device.chip(u);
+    for (std::uint32_t b = 0; b < chip.num_blocks(); ++b) {
+      const nand::Block& block = chip.block(b);
+      for (std::uint32_t i = 0; i < block.num_pages(); ++i) {
+        if (block.page_state(nand::PagePos::from_flat(i, block.bits())) ==
+            nand::PageState::kCorrupted) {
+          reads[{u, b}] = block.reads_since_erase();
+          break;
+        }
+      }
+    }
+  }
+  return reads;
+}
+
+std::string replay_digest(const ReplayCase& c) {
+  const ftl::FtlConfig config = c.tlc ? ftl::FtlConfig::tlc_tiny() : ftl::FtlConfig::tiny();
+  std::unique_ptr<ftl::FtlBase> ftl = make_ftl(c.kind, config);
+  SimConfig sim_config;
+  sim_config.queue_depth = 8;
+  // Writing on after a crash reboot fails at some fills of the 16-block
+  // tiny device: a block whose erase the cut voided can stay in the free
+  // pool unerased (pageFTL), and a full fill leaves flexFTL without a free
+  // block. A 90% fill avoids both; the goldens pin reads, not those paths.
+  sim_config.precondition_fraction = 0.9;
+  Simulator sim(*ftl, sim_config);
+  sim.precondition();
+  const SimResult first = sim.run(oltp_trace(*ftl, 1'500, 0x01f7));
+  EXPECT_GT(first.pages_read, 0u);
+  if (c.crash) {
+    // A burst of writes charged at one instant queues several programs on
+    // every unit, and the cut lands before the last of them complete. The
+    // burst rewrites pages the second replay reads first, so those reads
+    // land in the blocks the cut left corrupted pages in.
+    const workload::Trace second_trace = oltp_trace(*ftl, 1'000, 0x02f7);
+    std::vector<Lpn> burst;
+    for (const workload::IoRequest& req : second_trace.requests()) {
+      if (req.kind != workload::IoKind::kRead) continue;
+      if (std::find(burst.begin(), burst.end(), req.lpn) == burst.end()) burst.push_back(req.lpn);
+      if (burst.size() == 24) break;
+    }
+    const Microseconds t = ftl->device().all_idle_at();
+    Microseconds last = t;
+    for (const Lpn lpn : burst) {
+      const Result<ftl::HostOp> op = ftl->write(lpn, t, 0.5);
+      EXPECT_TRUE(op.is_ok());
+      if (op.is_ok()) last = std::max(last, op.value().complete);
+    }
+    const Microseconds cut = t + (last - t) / 2;
+    const std::vector<nand::PowerLossVictim> victims =
+        ftl->device().inject_power_loss(cut);
+    EXPECT_FALSE(victims.empty());
+    (void)crash_reboot(c.kind, *ftl, victims, cut);
+    // The second replay runs in two parts: its first requests, then the
+    // rest. After the first part, some host read must have sensed a block
+    // holding a corrupted page (later GC erases most of those blocks).
+    workload::Trace head("oltp-head");
+    workload::Trace tail("oltp-tail");
+    for (const workload::IoRequest& req : second_trace.requests()) {
+      (head.size() < 40 ? head : tail).add(req);
+    }
+    const auto before = corrupted_block_reads(ftl->device());
+    EXPECT_FALSE(before.empty()) << c.name;
+    EXPECT_GT(sim.run(head).pages_read, 0u);
+    bool sensed = false;
+    for (const auto& [block, reads] : corrupted_block_reads(ftl->device())) {
+      const auto it = before.find(block);
+      if (it != before.end() && reads > it->second) sensed = true;
+    }
+    EXPECT_TRUE(sensed) << c.name;
+    EXPECT_GT(sim.run(tail).pages_read, 0u);
+  }
+  return hex_digest(Snapshot::capture(*ftl));
+}
+
+TEST(SnapshotGolden, PostReplayDigestsMatchPinned) {
+  std::map<std::string, std::string> pinned = load_pinned("snapshot_digests_replay.txt");
+  ASSERT_EQ(pinned.size(), std::size(kReplayCases)) << "tests/data/snapshot_digests_replay.txt";
+  for (const ReplayCase& c : kReplayCases) {
+    const std::string actual = replay_digest(c);
+    ASSERT_TRUE(pinned.count(c.name)) << c.name;
+    EXPECT_EQ(pinned[c.name], actual) << c.name << ": actual " << actual;
   }
 }
 
