@@ -71,19 +71,10 @@ Result<Microseconds> FlexFtl::write_pass(std::uint32_t chip, std::uint32_t pass,
   ChipState& cs = chips_.at(chip);
   const std::uint32_t last = passes_ - 1;
   if (pass == 0 && !cs.fast) {
-    // Host-path allocation may trigger foreground GC whose copies recurse
-    // into write_pass and install a fast block; re-check before installing
-    // our own (clobbering it would orphan a half-filled active block).
-    if (!gc && blocks_.free_blocks(chip) <= config_.gc_reserve_blocks) {
-      const Status freed = ensure_free_block(chip, now);
-      if (!freed.is_ok() && !cs.fast) return freed.code();
-    }
-    if (!cs.fast) {
-      Result<std::uint32_t> block = blocks_.allocate(
-          chip, ftl::BlockUse::kActive, gc ? 0 : config_.gc_reserve_blocks);
-      if (!block.is_ok()) return block.code();
-      cs.fast = block.value();
-    }
+    const Status opened = open_active_block(
+        chip, now, gc, [&] { return !cs.fast; },
+        [&](std::uint32_t block) { cs.fast = block; });
+    if (!opened.is_ok()) return opened.code();
   }
   if (pass > 0 && cs.queues[pass - 1].empty()) return ErrorCode::kNoFreePage;
   // The head of a pass queue is that pass's active block (Section 3.1).
@@ -428,29 +419,6 @@ std::optional<nand::PageAddress> FlexFtl::find_newest_copy(
 
 namespace {
 
-void save_address(ser::Writer& w, const nand::PageAddress& addr) {
-  w.u32(addr.chip);
-  w.u32(addr.block);
-  w.u32(addr.pos.wordline);
-  w.u8(static_cast<std::uint8_t>(addr.pos.type));
-}
-
-/// Reads a page address; fails the reader unless it names a page of `g`.
-nand::PageAddress load_address(ser::Reader& r, const nand::Geometry& g) {
-  nand::PageAddress addr;
-  addr.chip = r.u32();
-  addr.block = r.u32();
-  addr.pos.wordline = r.u32();
-  const std::uint8_t type = r.u8();
-  addr.pos.type = static_cast<nand::PageType>(type);
-  if (addr.chip >= g.num_units() || addr.block >= g.blocks_per_chip ||
-      addr.pos.wordline >= g.wordlines_per_block || type > 2 ||
-      nand::pass_of(addr.pos.type, g.bits_per_cell) >= g.bits_per_cell) {
-    r.fail();
-  }
-  return addr;
-}
-
 /// Reads a block index; fails the reader when it is out of range.
 std::uint32_t load_block(ser::Reader& r, std::uint32_t blocks) {
   const std::uint32_t block = r.u32();
@@ -525,10 +493,11 @@ void FlexFtl::save_extra(ser::Writer& w) const {
 
 void FlexFtl::load_extra(ser::Reader& r) {
   // Every block index and page address restored here later indexes a
-  // device or pool array (writes, parity flushes, recovery): out-of-range
-  // values fail the reader even when the stream's checksum holds.
+  // device or pool array (writes, parity flushes, recovery): values outside
+  // the FTL-visible blocks fail the reader even when the stream's checksum
+  // holds.
   const nand::Geometry& g = device_.geometry();
-  const std::uint32_t blocks = g.blocks_per_chip;
+  const std::uint32_t blocks = device_.visible_blocks();
   const auto load_backup = [&](std::uint32_t max_next) {
     BackupBlock b;
     b.block = load_block(r, blocks);
@@ -572,7 +541,7 @@ void FlexFtl::load_extra(ser::Reader& r) {
       const std::uint64_t pages = load_count(r);
       for (std::uint64_t i = 0; i < pages && r.ok(); ++i) {
         const std::uint32_t block = load_block(r, blocks);
-        parity.emplace(block, load_address(r, g));
+        parity.emplace(block, load_address(r));
       }
     }
     for (std::vector<RetirementLogEntry>& log : chip.retire_log) {
@@ -583,7 +552,7 @@ void FlexFtl::load_extra(ser::Reader& r) {
         RetirementLogEntry entry;
         entry.block = load_block(r, blocks);
         entry.at = r.i64();
-        entry.parity = load_address(r, g);
+        entry.parity = load_address(r);
         log.push_back(entry);
       }
     }

@@ -38,6 +38,8 @@
 //                         the slow path kept for differential testing.
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/faultsim/harness.hpp"
@@ -121,18 +123,18 @@ bool write_metrics(const std::string& path, const char* label,
   return true;
 }
 
-std::vector<std::uint64_t> parse_list(const std::string& value) {
+/// The value of `--densities=`: comma-separated positive counts.
+Result<std::vector<std::uint64_t>> parse_densities(std::string_view value) {
   std::vector<std::uint64_t> out;
-  std::size_t pos = 0;
-  while (pos < value.size()) {
-    const std::size_t comma = value.find(',', pos);
-    const std::string item =
-        value.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    out.push_back(std::stoull(item));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  while (true) {
+    const std::size_t comma = value.find(',');
+    const Result<std::uint64_t> item =
+        sim::parse_count_value("--densities", value.substr(0, comma));
+    if (!item.is_ok()) return item.code();
+    out.push_back(item.value());
+    if (comma == std::string_view::npos) return out;
+    value.remove_prefix(comma + 1);
   }
-  return out;
 }
 
 int run_matrix(const FaultSimConfig& base, std::uint64_t seeds,
@@ -198,38 +200,44 @@ int main(int argc, char** argv) {
   // Split driver flags from reproducer flags; the rest of the line is
   // parsed by the same parser the sweep's replay check uses.
   std::string repro_line = "faultsim";
+  // A malformed numeric value exits 2; the parser names the flag.
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    try {
-      if (arg == "--matrix") {
-        matrix = true;
-      } else if (arg == "--sweep") {
-        do_sweep = true;
-      } else if (arg.rfind("--seeds=", 0) == 0) {
-        seeds = std::stoull(arg.substr(8));
-      } else if (arg.rfind("--densities=", 0) == 0) {
-        densities = parse_list(arg.substr(12));
-      } else if (arg.rfind("--points=", 0) == 0) {
-        points = std::stoull(arg.substr(9));
-      } else if (arg.rfind("--jobs=", 0) == 0) {
-        jobs = static_cast<std::uint32_t>(std::stoul(arg.substr(7)));
-      } else if (arg.rfind("--trace=", 0) == 0) {
-        trace_path = arg.substr(8);
-      } else if (arg.rfind("--metrics=", 0) == 0) {
-        metrics_path = arg.substr(10);
-      } else if (arg.rfind("--snapshot=", 0) == 0) {
-        snapshot_path = arg.substr(11);
-      } else if (arg.rfind("--from-snapshot=", 0) == 0) {
-        from_snapshot_path = arg.substr(16);
-      } else if (arg == "--cold") {
-        cold = true;
-      } else {
-        repro_line += ' ';
-        repro_line += arg;
-      }
-    } catch (...) {
-      std::fprintf(stderr, "malformed flag: %s\n", arg.c_str());
-      return 2;
+    const std::string_view value = std::string_view(arg).substr(arg.find('=') + 1);
+    // Store a positive count no larger than `max` in `field`.
+    const auto count = [&](const char* flag, std::uint64_t max, auto& field) {
+      const Result<std::uint64_t> parsed = sim::parse_count_value(flag, value, max);
+      if (!parsed.is_ok()) return false;
+      field = static_cast<std::remove_reference_t<decltype(field)>>(parsed.value());
+      return true;
+    };
+    if (arg == "--matrix") {
+      matrix = true;
+    } else if (arg == "--sweep") {
+      do_sweep = true;
+    } else if (arg.rfind("--seeds=", 0) == 0) {
+      if (!count("--seeds", UINT64_MAX, seeds)) return 2;
+    } else if (arg.rfind("--densities=", 0) == 0) {
+      Result<std::vector<std::uint64_t>> parsed = parse_densities(value);
+      if (!parsed.is_ok()) return 2;
+      densities = std::move(parsed).take();
+    } else if (arg.rfind("--points=", 0) == 0) {
+      if (!count("--points", UINT64_MAX, points)) return 2;
+    } else if (arg.rfind("--jobs=", 0) == 0) {
+      if (!count("--jobs", UINT32_MAX, jobs)) return 2;
+    } else if (arg.rfind("--trace=", 0) == 0) {
+      trace_path = value;
+    } else if (arg.rfind("--metrics=", 0) == 0) {
+      metrics_path = value;
+    } else if (arg.rfind("--snapshot=", 0) == 0) {
+      snapshot_path = value;
+    } else if (arg.rfind("--from-snapshot=", 0) == 0) {
+      from_snapshot_path = value;
+    } else if (arg == "--cold") {
+      cold = true;
+    } else {
+      repro_line += ' ';
+      repro_line += arg;
     }
   }
 

@@ -1,7 +1,9 @@
 #include "src/faultsim/harness.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -349,13 +351,38 @@ TrialResult run_trial(const FaultSimConfig& config, obs::TraceSink* sink,
   return out;
 }
 
+namespace {
+
+/// A fraction in [0, 1] as the shortest fixed-notation decimal that reads
+/// back to the same double (0.5 prints "0.5"). An ostream would switch to
+/// exponent notation below 1e-4, which the reproducer parser rejects, and
+/// round to six digits, which replays a different value.
+std::string fraction(double value) {
+  // Room for the longest: a subnormal's 324 fraction digits.
+  std::array<char, 352> buf{};
+  const std::to_chars_result out =
+      std::to_chars(buf.data(), buf.data() + buf.size(), value, std::chars_format::fixed);
+  assert(out.ec == std::errc{});
+  return std::string(buf.data(), out.ptr);
+}
+
+/// Store a parsed flag value in `field`; false when the parse failed.
+template <typename Field, typename Value>
+bool take(Field& field, const Result<Value>& parsed) {
+  if (!parsed.is_ok()) return false;
+  field = static_cast<Field>(parsed.value());
+  return true;
+}
+
+}  // namespace
+
 std::string reproducer(const FaultSimConfig& config) {
   std::ostringstream os;
   os << "faultsim --ftl=" << sim::to_string(config.kind) << " --seed=" << config.seed
      << " --requests=" << config.requests
      << " --max-pages=" << config.max_pages_per_request
-     << " --ws=" << config.working_set_fraction
-     << " --reads=" << config.read_fraction << " --gap=" << config.mean_gap_us
+     << " --ws=" << fraction(config.working_set_fraction)
+     << " --reads=" << fraction(config.read_fraction) << " --gap=" << config.mean_gap_us
      << " --crash-us=" << config.crash_time_us;
   // Non-default device topology / failure knobs only, so legacy
   // reproducer lines stay byte-identical.
@@ -392,51 +419,50 @@ std::optional<FaultSimConfig> parse_reproducer(const std::string& line) {
     first = false;
     const std::size_t eq = token.find('=');
     if (token.rfind("--", 0) != 0 || eq == std::string::npos) return std::nullopt;
-    const std::string key = token.substr(2, eq - 2);
-    const std::string value = token.substr(eq + 1);
-    try {
-      if (key == "ftl") {
-        const auto kind = ftl_kind_from(value);
-        if (!kind) return std::nullopt;
-        config.kind = *kind;
-      } else if (key == "seed") {
-        config.seed = std::stoull(value);
-      } else if (key == "requests") {
-        config.requests = std::stoull(value);
-      } else if (key == "max-pages") {
-        config.max_pages_per_request = static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "ws") {
-        config.working_set_fraction = std::stod(value);
-      } else if (key == "reads") {
-        config.read_fraction = std::stod(value);
-      } else if (key == "gap") {
-        config.mean_gap_us = std::stoll(value);
-      } else if (key == "crash-us") {
-        config.crash_time_us = std::stoll(value);
-      } else if (key == "planes") {
-        config.ftl_config.geometry.planes_per_chip =
-            static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "spares") {
-        config.ftl_config.bad_blocks.spare_blocks_per_unit =
-            static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "factory-ppm") {
-        config.ftl_config.bad_blocks.factory_bad_ppm =
-            static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "endurance") {
-        config.ftl_config.bad_blocks.erase_endurance = std::stoull(value);
-      } else if (key == "tenants") {
-        config.tenants = static_cast<std::uint32_t>(std::stoul(value));
-        if (config.tenants == 0) return std::nullopt;
-      } else if (key == "arb") {
-        const auto policy = ctrl::arb_policy_from(value);
-        if (!policy) return std::nullopt;
-        config.arb = *policy;
-      } else {
-        return std::nullopt;
-      }
-    } catch (...) {
+    const std::string flag = token.substr(0, eq);
+    const std::string key = flag.substr(2);
+    const std::string_view value = std::string_view(token).substr(eq + 1);
+    // Numbers go through the shared flag parsers: exactly of their kind,
+    // no sign, no trailing characters, within the field's range.
+    nand::BadBlockConfig& bad = config.ftl_config.bad_blocks;
+    bool ok = true;
+    if (key == "ftl") {
+      const auto kind = ftl_kind_from(std::string(value));
+      if (!kind) return std::nullopt;
+      config.kind = *kind;
+    } else if (key == "seed") {
+      ok = take(config.seed, sim::parse_uint_value(flag, value));
+    } else if (key == "requests") {
+      ok = take(config.requests, sim::parse_uint_value(flag, value));
+    } else if (key == "max-pages") {
+      ok = take(config.max_pages_per_request, sim::parse_uint_value(flag, value, UINT32_MAX));
+    } else if (key == "ws") {
+      ok = take(config.working_set_fraction, sim::parse_fraction_value(flag, value));
+    } else if (key == "reads") {
+      ok = take(config.read_fraction, sim::parse_fraction_value(flag, value));
+    } else if (key == "gap") {
+      ok = take(config.mean_gap_us, sim::parse_uint_value(flag, value, INT64_MAX));
+    } else if (key == "crash-us") {
+      ok = take(config.crash_time_us, sim::parse_uint_value(flag, value, INT64_MAX));
+    } else if (key == "planes") {
+      ok = take(config.ftl_config.geometry.planes_per_chip,
+                sim::parse_count_value(flag, value, UINT32_MAX));
+    } else if (key == "spares") {
+      ok = take(bad.spare_blocks_per_unit, sim::parse_uint_value(flag, value, UINT32_MAX));
+    } else if (key == "factory-ppm") {
+      ok = take(bad.factory_bad_ppm, sim::parse_uint_value(flag, value, UINT32_MAX));
+    } else if (key == "endurance") {
+      ok = take(bad.erase_endurance, sim::parse_uint_value(flag, value));
+    } else if (key == "tenants") {
+      ok = take(config.tenants, sim::parse_count_value(flag, value, UINT32_MAX));
+    } else if (key == "arb") {
+      const auto policy = ctrl::arb_policy_from(std::string(value));
+      if (!policy) return std::nullopt;
+      config.arb = *policy;
+    } else {
       return std::nullopt;
     }
+    if (!ok) return std::nullopt;
   }
   // Values a trial cannot run: an invalid geometry or a spare pool with no
   // visible block left would assert in the device constructors, and a

@@ -17,10 +17,6 @@ struct FtlConfig {
   /// all-zero default disables it: no spares reserved, nothing ever fails.
   nand::BadBlockConfig bad_blocks;
 
-  /// Cache-program pipelining on the device: data transfers overlap the
-  /// unit's previous cell operation (the original model's behavior).
-  bool cache_program = true;
-
   /// Fraction of physical pages *not* exported as logical capacity
   /// (overprovisioning for GC plus backup-block headroom).
   double overprovisioning = 0.13;

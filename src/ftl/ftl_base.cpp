@@ -31,7 +31,6 @@ FtlBase::FtlBase(const FtlConfig& config, nand::SequenceKind kind)
   // MLC or TLC; flexFTL is the one policy that runs on both (the others
   // assert two bits in their own constructors).
   assert(config.geometry.bits_per_cell == 2 || config.geometry.bits_per_cell == 3);
-  device_.set_cache_program(config.cache_program);
   // Factory-bad visible blocks the device could not remap are dead on
   // arrival: drop them from the pools before any allocation happens.
   for (std::uint32_t u = 0; u < config.geometry.num_units(); ++u) {
@@ -368,6 +367,34 @@ Status FtlBase::ensure_free_block(std::uint32_t chip, Microseconds now) {
   return Status::ok();
 }
 
+Result<Microseconds> FtlBase::program_slc_backup(std::uint32_t chip, BlockCursor& cursor,
+                                                 nand::PageData data, Microseconds now) {
+  if (!cursor.valid) {
+    const Result<std::uint32_t> block =
+        blocks_.allocate(chip, BlockUse::kBackup, /*reserve=*/1);
+    if (!block.is_ok()) return block.code();
+    const Status slc = device_.block_mut({chip, block.value()}).set_slc_mode();
+    assert(slc.is_ok());
+    (void)slc;
+    cursor = BlockCursor{.valid = true, .block = block.value(), .next = 0};
+  }
+  const nand::PageAddress addr{chip, cursor.block, {cursor.next, nand::PageType::kLsb}};
+  const Result<nand::OpTiming> timing = device_.program(addr, std::move(data), now);
+  assert(timing.is_ok());
+  ++cursor.next;
+  blocks_.add_written({chip, cursor.block});
+  ++stats_.backup_pages;
+  const Microseconds complete = timing.value().complete;
+  if (cursor.next >= device_.geometry().wordlines_per_block) {
+    const Result<nand::OpTiming> erased = erase_block({chip, cursor.block}, complete);
+    assert(erased.is_ok());
+    (void)erased;
+    blocks_.release({chip, cursor.block});
+    cursor.valid = false;
+  }
+  return complete;
+}
+
 void FtlBase::on_idle_plan(Microseconds now, Microseconds deadline) {
   // Stop background work early enough that an in-flight MSB program (plus
   // its copy read) cannot spill into the next burst's first requests.
@@ -567,6 +594,55 @@ void FtlBase::load_state(ser::Reader& r) {
   write_version_ = r.u64();
   current_stream_ = r.u32();
   load_extra(r);
+}
+
+void FtlBase::save_cursors(ser::Writer& w, std::span<const BlockCursor> cursors) {
+  w.u64(cursors.size());
+  for (const BlockCursor& c : cursors) {
+    w.boolean(c.valid);
+    w.u32(c.block);
+    w.u32(c.next);
+  }
+}
+
+void FtlBase::load_cursors(ser::Reader& r, std::span<BlockCursor> cursors,
+                           std::uint32_t order) const {
+  if (r.u64() != cursors.size()) {
+    r.fail();
+    return;
+  }
+  for (BlockCursor& c : cursors) {
+    c.valid = r.boolean();
+    c.block = r.u32();
+    c.next = r.u32();
+    if (c.block >= device_.visible_blocks() || c.next > order ||
+        (c.valid && c.next == order)) {
+      r.fail();
+    }
+  }
+}
+
+void FtlBase::save_address(ser::Writer& w, const nand::PageAddress& addr) {
+  w.u32(addr.chip);
+  w.u32(addr.block);
+  w.u32(addr.pos.wordline);
+  w.u8(static_cast<std::uint8_t>(addr.pos.type));
+}
+
+nand::PageAddress FtlBase::load_address(ser::Reader& r) const {
+  const nand::Geometry& g = device_.geometry();
+  nand::PageAddress addr;
+  addr.chip = r.u32();
+  addr.block = r.u32();
+  addr.pos.wordline = r.u32();
+  const std::uint8_t type = r.u8();
+  addr.pos.type = static_cast<nand::PageType>(type);
+  if (addr.chip >= g.num_units() || addr.block >= device_.visible_blocks() ||
+      addr.pos.wordline >= g.wordlines_per_block || type > 2 ||
+      nand::pass_of(addr.pos.type, g.bits_per_cell) >= g.bits_per_cell) {
+    r.fail();
+  }
+  return addr;
 }
 
 void FtlBase::save_extra(ser::Writer& w) const { (void)w; }

@@ -1,6 +1,8 @@
 // Abstract FTL with the machinery every policy shares: page-level mapping,
-// block bookkeeping, greedy foreground/background garbage collection, and
-// host read/write entry points with device-time accounting.
+// block bookkeeping, greedy foreground/background garbage collection, host
+// read/write entry points with device-time accounting, and the append
+// machinery (block cursors, block opening, the SLC-mode backup cycle and
+// their snapshot codecs).
 //
 // Concrete FTLs (pageFTL, parityFTL, rtfFTL, flexFTL, slcFTL) implement
 // the ctrl::Allocator interface — the page *allocation policy*: where a
@@ -53,6 +55,16 @@ struct FtlStats {
                : static_cast<double>(device.programs()) /
                      static_cast<double>(host_write_pages);
   }
+};
+
+/// The append position of one open block: the index of its next page in
+/// the owning policy's program order (pageFTL and rtfFTL: the block's FPS
+/// order; slcFTL and every SLC backup block: its LSB word lines). Not
+/// valid between blocks; a valid cursor always has a page left.
+struct BlockCursor {
+  bool valid = false;
+  std::uint32_t block = 0;
+  std::uint32_t next = 0;
 };
 
 /// Completion information for one host operation.
@@ -261,6 +273,55 @@ class FtlBase : public ctrl::Allocator {
 
   /// Foreground GC: make sure `chip` has more than the reserve free blocks.
   Status ensure_free_block(std::uint32_t chip, Microseconds now);
+
+  /// Open a fresh active block on `chip` for a writer without one:
+  /// `needed()` says whether the writer still lacks its block and
+  /// `install(block)` hands it over. A host write at the GC reserve first
+  /// runs foreground GC, whose relocation copies re-enter the policy and
+  /// may open the writer's block themselves — so needed() is asked again
+  /// before allocating (a second block would orphan the first one half
+  /// written). GC copies allocate below the reserve. Returns the GC or
+  /// allocation error when the writer is still without a block.
+  template <typename Needed, typename Install>
+  Status open_active_block(std::uint32_t chip, Microseconds now, bool gc, Needed needed,
+                           Install install) {
+    if (!gc && blocks_.free_blocks(chip) <= config_.gc_reserve_blocks) {
+      const Status freed = ensure_free_block(chip, now);
+      if (!needed()) return Status::ok();
+      if (!freed.is_ok()) return freed;
+    }
+    const Result<std::uint32_t> block =
+        blocks_.allocate(chip, BlockUse::kActive, gc ? 0 : config_.gc_reserve_blocks);
+    if (!block.is_ok()) return Status{block.code()};
+    install(block.value());
+    return Status::ok();
+  }
+
+  /// Program `data` on the next LSB page of `chip`'s SLC-mode backup block
+  /// at `cursor` (an SLC-mode block has only its LSB pages written, each
+  /// at LSB speed). Opens the block first when the cursor has none —
+  /// never the chip's last free block, which GC keeps as a relocation
+  /// destination. A full backup block's pages are stale (the programs they
+  /// covered finished long ago), so it is erased and freed right after its
+  /// last page. Returns the program's completion, or the allocation error
+  /// (nothing programmed) when no backup block could be opened.
+  Result<Microseconds> program_slc_backup(std::uint32_t chip, BlockCursor& cursor,
+                                          nand::PageData data, Microseconds now);
+
+  /// Snapshot codec of a cursor array: the count, then (valid, block,
+  /// next) per cursor. The loader requires the saved count and fails the
+  /// reader on a block outside the FTL-visible range, or a `next` past
+  /// `order` (the policy's pages per block) or equal to it on a valid
+  /// cursor: either would later address a page no block has.
+  static void save_cursors(ser::Writer& w, std::span<const BlockCursor> cursors);
+  void load_cursors(ser::Reader& r, std::span<BlockCursor> cursors,
+                    std::uint32_t order) const;
+
+  /// Snapshot codec of a page address: chip, block, word line, page type.
+  /// The loader fails the reader unless the address names a page of an
+  /// FTL-visible block of this device.
+  static void save_address(ser::Writer& w, const nand::PageAddress& addr);
+  nand::PageAddress load_address(ser::Reader& r) const;
 
   /// Erase `addr` through the device's bad-block machinery. A kBlockBad
   /// failure (endurance exceeded, spare pool dry) retires the block in

@@ -6,46 +6,23 @@
 
 namespace rps::ftl {
 
-PageFtl::PageFtl(const FtlConfig& config, nand::SequenceKind kind)
-    : FtlBase(config, kind),
+PageFtl::PageFtl(const FtlConfig& config)
+    : FtlBase(config, nand::SequenceKind::kFps),
       order_(nand::fps_order(config.geometry.wordlines_per_block)),
       slots_(std::max<std::uint32_t>(1, config.write_stream_slots)),
       active_(static_cast<std::size_t>(config.geometry.num_units()) * slots_) {
   assert(config.geometry.bits_per_cell == 2);  // an MLC policy
 }
 
-Result<std::uint32_t> PageFtl::activate_block(std::uint32_t chip, Microseconds now,
-                                              bool gc, BlockUse use) {
-  if (gc) return blocks_.allocate(chip, use, /*reserve=*/0);
-  Result<std::uint32_t> block = blocks_.allocate(chip, use, config_.gc_reserve_blocks);
-  if (block.is_ok()) return block;
-  const Status freed = ensure_free_block(chip, now);
-  if (!freed.is_ok()) return freed.code();
-  return blocks_.allocate(chip, use, /*reserve=*/0);
-}
-
 Result<Microseconds> PageFtl::append_to_active(std::uint32_t chip, Lpn lpn,
                                                nand::PageData data, Microseconds now,
                                                bool gc, std::uint32_t slot) {
-  ActiveCursor& cursor = cursor_at(chip, slot);
-  if (!cursor.valid || cursor.exhausted(order_)) {
-    // Careful with reentrancy: a host-path allocation below may trigger
-    // foreground GC, whose relocation copies recurse into this function and
-    // install (and partially fill) a fresh cursor themselves. Clobbering it
-    // afterwards would orphan a half-written active block — a permanent
-    // capacity leak. So make room first, then re-check the cursor.
-    if (!gc && blocks_.free_blocks(chip) <= config_.gc_reserve_blocks) {
-      const Status freed = ensure_free_block(chip, now);
-      if (!freed.is_ok() && !(cursor.valid && !cursor.exhausted(order_))) {
-        return freed.code();
-      }
-    }
-    if (!cursor.valid || cursor.exhausted(order_)) {
-      Result<std::uint32_t> block = blocks_.allocate(
-          chip, BlockUse::kActive, gc ? 0 : config_.gc_reserve_blocks);
-      if (!block.is_ok()) return block.code();
-      cursor = ActiveCursor{.valid = true, .block = block.value(), .next = 0};
-    }
+  BlockCursor& cursor = cursor_at(chip, slot);
+  if (!cursor.valid) {
+    const Status opened = open_active_block(
+        chip, now, gc, [&] { return !cursor.valid; },
+        [&](std::uint32_t block) { cursor = {.valid = true, .block = block, .next = 0}; });
+    if (!opened.is_ok()) return opened.code();
   }
   const nand::PagePos pos = order_[cursor.next];
   const nand::PageAddress addr{chip, cursor.block, pos};
@@ -53,8 +30,7 @@ Result<Microseconds> PageFtl::append_to_active(std::uint32_t chip, Lpn lpn,
   const Microseconds start = before_program(addr, data, now, gc);
   Result<nand::OpTiming> timing = device_.program(addr, std::move(data), start);
   assert(timing.is_ok());  // the cursor follows the device's own order
-  ++cursor.next;
-  if (cursor.exhausted(order_)) {
+  if (++cursor.next == order_.size()) {
     blocks_.set_use({chip, cursor.block}, BlockUse::kFull);
     cursor.valid = false;
   }
@@ -66,7 +42,6 @@ Result<Microseconds> PageFtl::append_to_active(std::uint32_t chip, Lpn lpn,
       ++stats_.host_msb_writes;
     }
   }
-  after_program(addr, timing.value().complete);
   return timing.value().complete;
 }
 
@@ -85,25 +60,10 @@ Result<Microseconds> PageFtl::allocate_gc_page(std::uint32_t chip, Lpn lpn,
   return append_to_active(chip, lpn, std::move(data), now, /*gc=*/true);
 }
 
-void PageFtl::save_extra(ser::Writer& w) const {
-  w.u64(active_.size());
-  for (const ActiveCursor& c : active_) {
-    w.boolean(c.valid);
-    w.u32(c.block);
-    w.u32(c.next);
-  }
-}
+void PageFtl::save_extra(ser::Writer& w) const { save_cursors(w, active_); }
 
 void PageFtl::load_extra(ser::Reader& r) {
-  if (r.u64() != active_.size()) {
-    r.fail();
-    return;
-  }
-  for (ActiveCursor& c : active_) {
-    c.valid = r.boolean();
-    c.block = r.u32();
-    c.next = r.u32();
-  }
+  load_cursors(r, active_, static_cast<std::uint32_t>(order_.size()));
 }
 
 }  // namespace rps::ftl

@@ -6,11 +6,10 @@
 // paired-page backups — the paper uses it as the performance ceiling of an
 // FPS FTL.
 //
-// The program path exposes two hooks (before_program / after_program) that
-// parityFTL layers its pre-backup bookkeeping onto.
+// The program path exposes one hook (before_program) that parityFTL
+// layers its pre-backup bookkeeping onto.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "src/ftl/ftl_base.hpp"
@@ -20,23 +19,11 @@ namespace rps::ftl {
 
 class PageFtl : public FtlBase {
  public:
-  explicit PageFtl(const FtlConfig& config,
-                   nand::SequenceKind kind = nand::SequenceKind::kFps);
+  explicit PageFtl(const FtlConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "pageFTL"; }
 
  protected:
-  /// A block being appended to, with its position in a whole-block order.
-  struct ActiveCursor {
-    bool valid = false;
-    std::uint32_t block = 0;
-    std::uint32_t next = 0;
-
-    [[nodiscard]] bool exhausted(const nand::ProgramOrder& order) const {
-      return next >= order.size();
-    }
-  };
-
   Result<Microseconds> allocate_host_page(std::uint32_t chip, Lpn lpn,
                                           nand::PageData data, Microseconds now,
                                           double buffer_utilization) override;
@@ -46,11 +33,11 @@ class PageFtl : public FtlBase {
   void save_extra(ser::Writer& w) const override;
   void load_extra(ser::Reader& r) override;
 
-  /// Append one page at `chip`'s active cursor for `slot` (allocating /
-  /// running foreground GC as needed) and commit the mapping. Slot 0 is
-  /// the default-stream + GC cursor (the only one that exists
-  /// pre-multi-tenant); host writes carrying a stream hint use the slot
-  /// FtlBase::stream_slot maps it to, so streams fill distinct blocks.
+  /// Append one page at `chip`'s active cursor for `slot` (opening a block
+  /// as needed) and commit the mapping. Slot 0 is the default-stream + GC
+  /// cursor (the only one that exists pre-multi-tenant); host writes
+  /// carrying a stream hint use the slot FtlBase::stream_slot maps it to,
+  /// so streams fill distinct blocks.
   Result<Microseconds> append_to_active(std::uint32_t chip, Lpn lpn, nand::PageData data,
                                         Microseconds now, bool gc,
                                         std::uint32_t slot = 0);
@@ -70,28 +57,15 @@ class PageFtl : public FtlBase {
     return now;
   }
 
-  /// Hook: called after the program completes.
-  virtual void after_program(const nand::PageAddress& addr, Microseconds complete) {
-    (void)addr;
-    (void)complete;
-  }
-
-  /// Allocate a fresh active block on `chip` (foreground GC if required for
-  /// host writes; GC allocations dip into the reserve).
-  Result<std::uint32_t> activate_block(std::uint32_t chip, Microseconds now, bool gc,
-                                       BlockUse use = BlockUse::kActive);
-
-  [[nodiscard]] const nand::ProgramOrder& order() const { return order_; }
-
   /// The cursor of (chip, slot) — fixed-size (never reallocates, so
   /// references stay valid across the GC recursion in append_to_active).
-  [[nodiscard]] ActiveCursor& cursor_at(std::uint32_t chip, std::uint32_t slot) {
+  [[nodiscard]] BlockCursor& cursor_at(std::uint32_t chip, std::uint32_t slot) {
     return active_[chip * slots_ + slot];
   }
 
   nand::ProgramOrder order_;  // the device's FPS order, one per block shape
   std::uint32_t slots_;       // cursor slots per chip (config.write_stream_slots)
-  std::vector<ActiveCursor> active_;  // [chip][slot], flattened
+  std::vector<BlockCursor> active_;  // [chip][slot], flattened
 };
 
 }  // namespace rps::ftl

@@ -1,7 +1,6 @@
 #include "src/ftl/parity_ftl.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/util/serialize.hpp"
 
@@ -24,56 +23,24 @@ Microseconds ParityFtl::flush_parity(Microseconds now) {
   const nand::CauseScope cause(device_, nand::WriteCause::kParity);
 
   // Round-robin the parity writes over chips to use channel parallelism.
-  const std::uint32_t chips = device_.geometry().num_units();
-  std::uint32_t chip = backup_rr_++ % chips;
-  SlcCursor* cursor = &backup_[chip];
-  if (!cursor->valid) {
-    // Keep one free block in reserve for GC relocation destinations.
-    Result<std::uint32_t> block = blocks_.allocate(chip, BlockUse::kBackup, /*reserve=*/1);
-    if (!block.is_ok()) {
-      // No space anywhere for a backup: drop coverage (counted, not silent).
-      ++skipped_backups_;
-      pending_.clear();
-      parity_acc_ = nand::PageImage{};
-      return now;
-    }
-    const Status slc = device_.block_mut({chip, block.value()}).set_slc_mode();
-    assert(slc.is_ok());
-    (void)slc;
-    *cursor = SlcCursor{.valid = true, .block = block.value(), .next = 0};
-  }
-
-  const nand::PagePos pos{cursor->next, nand::PageType::kLsb};
-  const nand::PageAddress addr{chip, cursor->block, pos};
+  const std::uint32_t chip = backup_rr_++ % device_.geometry().num_units();
   nand::PageData parity = parity_acc_.record;
   parity.lpn = kInvalidLpn;  // not user data; never a GC relocation source
   parity.spare |= nand::kNonHostSpareFlag;
   const nand::PayloadPin payload(device_.payloads(), parity.signature, parity_acc_.bytes);
-  Result<nand::OpTiming> timing = device_.program(addr, parity, now);
-  assert(timing.is_ok());
-  ++cursor->next;
-  blocks_.add_written({chip, cursor->block});
-  ++stats_.backup_pages;
-
-  const Microseconds durable = timing.value().complete;
-  for (const nand::PageAddress& covered : pending_) {
-    util::recycled_assign(parity_durable_at_, durable_spares_, wl_key(covered),
-                          durable);
+  const Result<Microseconds> durable = program_slc_backup(chip, backup_[chip], parity, now);
+  if (durable.is_ok()) {
+    for (const nand::PageAddress& covered : pending_) {
+      util::recycled_assign(parity_durable_at_, durable_spares_, wl_key(covered),
+                            durable.value());
+    }
+  } else {
+    // No space anywhere for a backup: drop coverage (counted, not silent).
+    ++skipped_backups_;
   }
   pending_.clear();
   parity_acc_ = nand::PageImage{};
-
-  if (cursor->next >= device_.geometry().wordlines_per_block) {
-    // Backup blocks cycle: once the SLC pages are used up, the parity pages
-    // are (almost all) stale — the covered MSB programs have long
-    // completed — so the block is erased and returned to the free pool.
-    const Result<nand::OpTiming> erased = erase_block({chip, cursor->block}, durable);
-    assert(erased.is_ok());
-    (void)erased;
-    blocks_.release({chip, cursor->block});
-    cursor->valid = false;
-  }
-  return durable;
+  return durable.is_ok() ? durable.value() : now;
 }
 
 Microseconds ParityFtl::before_program(const nand::PageAddress& addr,
@@ -112,12 +79,7 @@ void ParityFtl::save_extra(ser::Writer& w) const {
   PageFtl::save_extra(w);
   nand::save(w, parity_acc_);
   w.u64(pending_.size());
-  for (const nand::PageAddress& addr : pending_) {
-    w.u32(addr.chip);
-    w.u32(addr.block);
-    w.u32(addr.pos.wordline);
-    w.u8(static_cast<std::uint8_t>(addr.pos.type));
-  }
+  for (const nand::PageAddress& addr : pending_) save_address(w, addr);
   std::vector<std::pair<std::uint64_t, Microseconds>> durable(parity_durable_at_.begin(),
                                                               parity_durable_at_.end());
   std::sort(durable.begin(), durable.end());
@@ -126,12 +88,7 @@ void ParityFtl::save_extra(ser::Writer& w) const {
     w.u64(key);
     w.i64(at);
   }
-  w.u64(backup_.size());
-  for (const SlcCursor& c : backup_) {
-    w.boolean(c.valid);
-    w.u32(c.block);
-    w.u32(c.next);
-  }
+  save_cursors(w, backup_);
   w.u32(backup_rr_);
   w.u64(partial_flushes_);
   w.u64(skipped_backups_);
@@ -147,14 +104,7 @@ void ParityFtl::load_extra(ser::Reader& r) {
     return;
   }
   pending_.reserve(static_cast<std::size_t>(pending));
-  for (std::uint64_t i = 0; i < pending; ++i) {
-    nand::PageAddress addr;
-    addr.chip = r.u32();
-    addr.block = r.u32();
-    addr.pos.wordline = r.u32();
-    addr.pos.type = static_cast<nand::PageType>(r.u8());
-    pending_.push_back(addr);
-  }
+  for (std::uint64_t i = 0; i < pending; ++i) pending_.push_back(load_address(r));
   parity_durable_at_.clear();
   const std::uint64_t durable = r.u64();
   if (durable > r.remaining()) {
@@ -166,15 +116,7 @@ void ParityFtl::load_extra(ser::Reader& r) {
     const std::uint64_t key = r.u64();
     parity_durable_at_.emplace(key, r.i64());
   }
-  if (r.u64() != backup_.size()) {
-    r.fail();
-    return;
-  }
-  for (SlcCursor& c : backup_) {
-    c.valid = r.boolean();
-    c.block = r.u32();
-    c.next = r.u32();
-  }
+  load_cursors(r, backup_, device_.geometry().wordlines_per_block);
   backup_rr_ = r.u32();
   partial_flushes_ = r.u64();
   skipped_backups_ = r.u64();

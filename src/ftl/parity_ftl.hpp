@@ -53,15 +53,6 @@ class ParityFtl : public PageFtl {
            (static_cast<std::uint64_t>(addr.block) << 20) | addr.pos.wordline;
   }
 
-  /// Backup blocks run in SLC mode: parity pages land on LSB pages only,
-  /// back to back, at LSB program speed (an FPS device cannot legally
-  /// sustain consecutive LSB programs on an MLC-mode block).
-  struct SlcCursor {
-    bool valid = false;
-    std::uint32_t block = 0;
-    std::uint32_t next = 0;  // next LSB word line
-  };
-
   nand::PageImage parity_acc_;
   std::vector<nand::PageAddress> pending_;  // LSB pages in the accumulator
   /// Word lines whose LSB data is covered by a durable parity page, with
@@ -69,7 +60,10 @@ class ParityFtl : public PageFtl {
   using DurableMap = std::unordered_map<std::uint64_t, Microseconds>;
   DurableMap parity_durable_at_;
   std::vector<DurableMap::node_type> durable_spares_;  // recycled nodes
-  std::vector<SlcCursor> backup_;  // per-chip backup block cursors
+  /// Per-chip SLC-mode backup blocks: parity pages land on LSB pages
+  /// only, back to back, at LSB program speed (an FPS device cannot
+  /// legally sustain consecutive LSB programs on an MLC-mode block).
+  std::vector<BlockCursor> backup_;
   std::uint32_t backup_rr_ = 0;
   std::uint64_t partial_flushes_ = 0;
   std::uint64_t skipped_backups_ = 0;

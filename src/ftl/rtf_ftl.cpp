@@ -11,7 +11,7 @@ RtfFtl::RtfFtl(const FtlConfig& config)
     : FtlBase(config, nand::SequenceKind::kFps),
       order_(nand::fps_order(config.geometry.wordlines_per_block)),
       actives_(config.geometry.num_units(),
-               std::vector<Cursor>(config.rtf_active_blocks)),
+               std::vector<BlockCursor>(config.rtf_active_blocks)),
       backup_(config.geometry.num_units()),
       lsb_debt_(config.geometry.num_units(), 0) {
   assert(config.geometry.bits_per_cell == 2);  // an MLC policy
@@ -19,7 +19,7 @@ RtfFtl::RtfFtl(const FtlConfig& config)
 
 std::uint32_t RtfFtl::lsb_ready_cursors(std::uint32_t chip) const {
   std::uint32_t ready = 0;
-  for (const Cursor& c : actives_.at(chip)) {
+  for (const BlockCursor& c : actives_.at(chip)) {
     if (c.valid && next_type(c) == nand::PageType::kLsb) ++ready;
   }
   return ready;
@@ -27,7 +27,7 @@ std::uint32_t RtfFtl::lsb_ready_cursors(std::uint32_t chip) const {
 
 std::optional<std::size_t> RtfFtl::find_cursor(std::uint32_t chip,
                                                nand::PageType type) const {
-  const std::vector<Cursor>& cursors = actives_.at(chip);
+  const std::vector<BlockCursor>& cursors = actives_.at(chip);
   for (std::size_t i = 0; i < cursors.size(); ++i) {
     if (cursors[i].valid && next_type(cursors[i]) == type) return i;
   }
@@ -36,27 +36,22 @@ std::optional<std::size_t> RtfFtl::find_cursor(std::uint32_t chip,
 
 std::optional<std::size_t> RtfFtl::replenish_slot(std::uint32_t chip, Microseconds now,
                                                   bool gc) {
-  std::vector<Cursor>& cursors = actives_.at(chip);
-  auto empty_slot = [&]() -> std::optional<std::size_t> {
-    for (std::size_t i = 0; i < cursors.size(); ++i) {
-      if (!cursors[i].valid) return i;
-    }
-    return std::nullopt;
+  std::vector<BlockCursor>& cursors = actives_.at(chip);
+  const auto empty_slot = [&] {
+    return std::find_if(cursors.begin(), cursors.end(),
+                        [](const BlockCursor& c) { return !c.valid; });
   };
-  std::optional<std::size_t> slot = empty_slot();
-  if (!slot) return std::nullopt;
-  // Host-path allocation may trigger foreground GC whose copies recurse
-  // into this FTL and fill slots; re-scan afterwards instead of clobbering.
-  if (!gc && blocks_.free_blocks(chip) <= config_.gc_reserve_blocks) {
-    if (!ensure_free_block(chip, now).is_ok()) return std::nullopt;
-    slot = empty_slot();
-    if (!slot) return std::nullopt;
-  }
-  Result<std::uint32_t> block = blocks_.allocate(
-      chip, BlockUse::kActive, gc ? 0 : config_.gc_reserve_blocks);
-  if (!block.is_ok()) return std::nullopt;
-  cursors[*slot] = Cursor{.valid = true, .block = block.value(), .next = 0};
-  return slot;
+  if (empty_slot() == cursors.end()) return std::nullopt;
+  std::optional<std::size_t> filled;
+  // A failed opening leaves the pool serving from the cursors it has.
+  (void)open_active_block(
+      chip, now, gc, [&] { return empty_slot() != cursors.end(); },
+      [&](std::uint32_t block) {
+        const auto slot = empty_slot();
+        *slot = {.valid = true, .block = block, .next = 0};
+        filled = static_cast<std::size_t>(slot - cursors.begin());
+      });
+  return filled;
 }
 
 Microseconds RtfFtl::backup_paired_lsb(const nand::PageAddress& msb_addr,
@@ -76,49 +71,23 @@ Microseconds RtfFtl::backup_paired_lsb(const nand::PageAddress& msb_addr,
   // The copy is a real page read followed by a program to a backup block.
   Result<nand::NandDevice::ReadResult> got = device_.read(paired, now);
   assert(got.is_ok() && got.value().data.is_ok());
-
-  // Backups go to an SLC-mode block: consecutive fast LSB-speed writes,
-  // which MLC-mode FPS ordering would forbid.
-  Cursor& cursor = backup_.at(msb_addr.chip);
-  if (!cursor.valid) {
-    // Keep one free block in reserve for GC relocation destinations.
-    Result<std::uint32_t> block_id =
-        blocks_.allocate(msb_addr.chip, BlockUse::kBackup, /*reserve=*/1);
-    if (!block_id.is_ok()) {
-      ++skipped_backups_;
-      return got.value().timing.complete;
-    }
-    const Status slc = device_.block_mut({msb_addr.chip, block_id.value()}).set_slc_mode();
-    assert(slc.is_ok());
-    (void)slc;
-    cursor = Cursor{.valid = true, .block = block_id.value(), .next = 0};
-  }
-  const nand::PageAddress dst{msb_addr.chip, cursor.block,
-                              {cursor.next, nand::PageType::kLsb}};
+  const Microseconds read = got.value().timing.complete;
   nand::PageData copy = std::move(got.value().data).take();
   copy.spare |= nand::kNonHostSpareFlag;  // backup copy, not the mapped page
-  Result<nand::OpTiming> timing =
-      device_.program(dst, std::move(copy), got.value().timing.complete);
-  assert(timing.is_ok());
-  ++cursor.next;
-  blocks_.add_written({dst.chip, dst.block});
-  ++stats_.backup_pages;
-  if (cursor.next >= device_.geometry().wordlines_per_block) {
-    // A full backup block's copies are stale (their MSB programs finished);
-    // erase and recycle it.
-    const Result<nand::OpTiming> erased =
-        erase_block({dst.chip, cursor.block}, timing.value().complete);
-    assert(erased.is_ok());
-    (void)erased;
-    blocks_.release({dst.chip, cursor.block});
-    cursor.valid = false;
+  // Backups go to an SLC-mode block: consecutive fast LSB-speed writes,
+  // which MLC-mode FPS ordering would forbid.
+  const Result<Microseconds> durable =
+      program_slc_backup(msb_addr.chip, backup_[msb_addr.chip], copy, read);
+  if (!durable.is_ok()) {
+    ++skipped_backups_;
+    return read;
   }
-  return timing.value().complete;
+  return durable.value();
 }
 
 Result<Microseconds> RtfFtl::append_at(std::uint32_t chip, std::size_t slot, Lpn lpn,
                                        nand::PageData data, Microseconds now, bool gc) {
-  Cursor& cursor = actives_.at(chip)[slot];
+  BlockCursor& cursor = actives_.at(chip)[slot];
   const nand::PagePos pos = order_[cursor.next];
   const nand::PageAddress addr{chip, cursor.block, pos};
 
@@ -131,8 +100,7 @@ Result<Microseconds> RtfFtl::append_at(std::uint32_t chip, std::size_t slot, Lpn
   }
   Result<nand::OpTiming> timing = device_.program(addr, std::move(data), start);
   assert(timing.is_ok());
-  ++cursor.next;
-  if (cursor.next >= order_.size()) {
+  if (++cursor.next == order_.size()) {
     blocks_.set_use({chip, cursor.block}, BlockUse::kFull);
     cursor.valid = false;
   }
@@ -219,20 +187,8 @@ void RtfFtl::on_idle_plan(Microseconds now, Microseconds deadline) {
 
 void RtfFtl::save_extra(ser::Writer& w) const {
   w.u64(actives_.size());
-  for (const std::vector<Cursor>& pool : actives_) {
-    w.u64(pool.size());
-    for (const Cursor& c : pool) {
-      w.boolean(c.valid);
-      w.u32(c.block);
-      w.u32(c.next);
-    }
-  }
-  w.u64(backup_.size());
-  for (const Cursor& c : backup_) {
-    w.boolean(c.valid);
-    w.u32(c.block);
-    w.u32(c.next);
-  }
+  for (const std::vector<BlockCursor>& pool : actives_) save_cursors(w, pool);
+  save_cursors(w, backup_);
   w.u64(lsb_debt_.size());
   for (const std::uint64_t debt : lsb_debt_) w.u64(debt);
   w.u64(skipped_backups_);
@@ -243,26 +199,9 @@ void RtfFtl::load_extra(ser::Reader& r) {
     r.fail();
     return;
   }
-  for (std::vector<Cursor>& pool : actives_) {
-    if (r.u64() != pool.size()) {
-      r.fail();
-      return;
-    }
-    for (Cursor& c : pool) {
-      c.valid = r.boolean();
-      c.block = r.u32();
-      c.next = r.u32();
-    }
-  }
-  if (r.u64() != backup_.size()) {
-    r.fail();
-    return;
-  }
-  for (Cursor& c : backup_) {
-    c.valid = r.boolean();
-    c.block = r.u32();
-    c.next = r.u32();
-  }
+  const auto pages = static_cast<std::uint32_t>(order_.size());
+  for (std::vector<BlockCursor>& pool : actives_) load_cursors(r, pool, pages);
+  load_cursors(r, backup_, device_.geometry().wordlines_per_block);
   if (r.u64() != lsb_debt_.size()) {
     r.fail();
     return;

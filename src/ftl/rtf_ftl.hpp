@@ -43,13 +43,7 @@ class RtfFtl : public FtlBase {
   void load_extra(ser::Reader& r) override;
 
  private:
-  struct Cursor {
-    bool valid = false;
-    std::uint32_t block = 0;
-    std::uint32_t next = 0;
-  };
-
-  [[nodiscard]] nand::PageType next_type(const Cursor& cursor) const {
+  [[nodiscard]] nand::PageType next_type(const BlockCursor& cursor) const {
     return order_[cursor.next].type;
   }
 
@@ -69,8 +63,8 @@ class RtfFtl : public FtlBase {
   Microseconds backup_paired_lsb(const nand::PageAddress& msb_addr, Microseconds now);
 
   nand::ProgramOrder order_;
-  std::vector<std::vector<Cursor>> actives_;  // [chip][slot]
-  std::vector<Cursor> backup_;                // per-chip backup block cursor
+  std::vector<std::vector<BlockCursor>> actives_;  // [chip][slot]
+  std::vector<BlockCursor> backup_;  // per-chip SLC-mode backup block
   /// Host LSB writes since the last idle-time MSB consumption: the idle GC
   /// consumes a matching amount of MSB capacity (capacity balance — every
   /// LSB-skewed burst must eventually be paid for with MSB programs).

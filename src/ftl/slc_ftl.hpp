@@ -33,14 +33,8 @@ class SlcFtl : public FtlBase {
   void load_extra(ser::Reader& r) override;
 
  private:
-  struct Cursor {
-    bool valid = false;
-    std::uint32_t block = 0;
-    std::uint32_t next_wordline = 0;
-  };
-
-  /// Append a page at `chip`'s SLC cursor, allocating (and switching the
-  /// fresh block to SLC mode) as needed.
+  /// Append a page at `chip`'s SLC cursor (whose `next` is a word line),
+  /// opening a block (and switching it to SLC mode) as needed.
   Result<Microseconds> append(std::uint32_t chip, Lpn lpn, nand::PageData data,
                               Microseconds now, bool gc);
 
@@ -51,7 +45,7 @@ class SlcFtl : public FtlBase {
     return config;
   }
 
-  std::vector<Cursor> cursors_;  // per chip
+  std::vector<BlockCursor> cursors_;  // per chip
 };
 
 }  // namespace rps::ftl

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <limits>
 
 #include "src/util/serialize.hpp"
 
@@ -193,33 +191,6 @@ std::uint64_t NandDevice::total_erase_count() const {
   std::uint64_t total = 0;
   for (const auto& chip : chips_) total += chip->total_erase_count();
   return total;
-}
-
-NandDevice::WearStats NandDevice::wear_stats() const {
-  WearStats stats;
-  stats.min_erases = std::numeric_limits<std::uint64_t>::max();
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  std::uint64_t blocks = 0;
-  for (const auto& chip : chips_) {
-    for (std::uint32_t b = 0; b < chip->num_blocks(); ++b) {
-      const std::uint64_t erases = chip->block(b).erase_count();
-      stats.min_erases = std::min(stats.min_erases, erases);
-      stats.max_erases = std::max(stats.max_erases, erases);
-      sum += static_cast<double>(erases);
-      sum_sq += static_cast<double>(erases) * static_cast<double>(erases);
-      ++blocks;
-    }
-  }
-  if (blocks == 0) {
-    stats.min_erases = 0;
-    return stats;
-  }
-  stats.mean_erases = sum / static_cast<double>(blocks);
-  const double variance =
-      sum_sq / static_cast<double>(blocks) - stats.mean_erases * stats.mean_erases;
-  stats.stddev = variance > 0.0 ? std::sqrt(variance) : 0.0;
-  return stats;
 }
 
 Microseconds NandDevice::all_idle_at() const {

@@ -239,15 +239,6 @@ class NandDevice {
     return attribution_.counters;
   }
 
-  /// Wear summary across all blocks — lifetime evenness at a glance.
-  struct WearStats {
-    std::uint64_t min_erases = 0;
-    std::uint64_t max_erases = 0;
-    double mean_erases = 0.0;
-    double stddev = 0.0;
-  };
-  [[nodiscard]] WearStats wear_stats() const;
-
   /// The earliest time every chip and channel is free.
   [[nodiscard]] Microseconds all_idle_at() const;
 

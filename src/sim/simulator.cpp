@@ -8,7 +8,6 @@
 #include "src/obs/sampler.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/snapshot.hpp"
-#include "src/util/random.hpp"
 #include <vector>
 
 namespace rps::sim {
@@ -36,18 +35,6 @@ void Simulator::precondition() {
   for (Lpn lpn = 0; lpn < fill_pages; ++lpn) {
     const Result<ftl::HostOp> op =
         ftl_.write(lpn, /*now=*/0, config_.precondition_utilization);
-    assert(op.is_ok());
-    (void)op;
-  }
-  // Random overwrites until garbage collection reaches steady state.
-  Rng rng(config_.precondition_seed);
-  const auto overwrites = static_cast<std::uint64_t>(
-      static_cast<double>(ftl_.exported_pages()) *
-      config_.precondition_overwrite_fraction);
-  for (std::uint64_t i = 0; i < overwrites && fill_pages > 0; ++i) {
-    const Lpn lpn = rng.next_below(fill_pages);
-    const Result<ftl::HostOp> op = ftl_.write(
-        lpn, ftl_.device().all_idle_at(), config_.precondition_utilization);
     assert(op.is_ok());
     (void)op;
   }

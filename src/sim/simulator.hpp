@@ -53,17 +53,9 @@ struct SimConfig {
   /// Precondition: fraction of exported pages sequentially written before
   /// the measured run (steady-state GC behaviour needs a full device).
   double precondition_fraction = 1.0;
-  /// After the sequential fill, this many uniformly random overwrites (as a
-  /// fraction of exported pages) break up the sequential layout. Keep it
-  /// moderate: the heavy lifting of reaching steady state should use
-  /// warm_up() with a trace whose locality matches the measured workload —
-  /// uniform overwrites at high utilization drive WAF far above any
-  /// realistic Zipf steady state.
-  double precondition_overwrite_fraction = 0.0;
   /// Buffer utilization reported during preconditioning (0.5 = the
   /// alternate-LSB/MSB regime, filling blocks evenly).
   double precondition_utilization = 0.5;
-  std::uint64_t precondition_seed = 0x5eed;
   /// Cut device power when the replay clock reaches this time: requests
   /// arriving at or after it are never issued, queued controller work is
   /// cancelled, and in-flight programs are destroyed (see SimResult.crashed

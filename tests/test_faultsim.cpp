@@ -341,7 +341,14 @@ TEST(FaultSim, ReproducerRejectsValuesATrialCannotRun) {
        {"faultsim --planes=0"s, "faultsim --spares=16"s, "faultsim --spares=17"s,
         "faultsim --ws=-1"s, "faultsim --ws=0"s, "faultsim --ws=1.5"s,
         "faultsim --ws=nan"s, "faultsim --ws=inf"s,
-        "faultsim --ftl=flexFTL --"s + "engine=controller --seed=1"}) {
+        "faultsim --ftl=flexFTL --"s + "engine=controller --seed=1",
+        // Numbers are exactly of their kind: no trailing junk, no sign.
+        "faultsim --seed=3x"s, "faultsim --seed=-1"s, "faultsim --requests=-1"s,
+        "faultsim --requests=12x"s, "faultsim --max-pages=+4"s, "faultsim --ws=0.5x"s,
+        "faultsim --reads=-0.2"s, "faultsim --reads=2e-1"s, "faultsim --gap=-200"s,
+        "faultsim --crash-us=1e6"s, "faultsim --crash-us=9223372036854775808"s,
+        "faultsim --planes=2x"s, "faultsim --spares=-2"s, "faultsim --factory-ppm=1.5"s,
+        "faultsim --endurance=5k"s, "faultsim --tenants=0"s, "faultsim --tenants= 8"s}) {
     EXPECT_FALSE(parse_reproducer(line).has_value()) << line;
   }
   // --spares=16 above is the edge: the default device has 16 blocks per plane.
@@ -353,6 +360,18 @@ TEST(FaultSim, ReproducerRejectsValuesATrialCannotRun) {
   const std::optional<FaultSimConfig> parsed = parse_reproducer(line);
   ASSERT_TRUE(parsed.has_value()) << line;
   EXPECT_EQ(reproducer(*parsed), line);
+
+  // Fractions print in a form the parser takes back exactly, including
+  // ones an ostream writes in exponent notation or rounds.
+  FaultSimConfig odd = defaults;
+  odd.working_set_fraction = 0.00005;
+  odd.read_fraction = 0.1 + 0.2;
+  const std::string odd_line = reproducer(odd);
+  EXPECT_NE(odd_line.find("--ws=0.00005 "), std::string::npos) << odd_line;
+  const std::optional<FaultSimConfig> odd_parsed = parse_reproducer(odd_line);
+  ASSERT_TRUE(odd_parsed.has_value()) << odd_line;
+  EXPECT_EQ(odd_parsed->working_set_fraction, odd.working_set_fraction);
+  EXPECT_EQ(odd_parsed->read_fraction, odd.read_fraction);
 }
 
 }  // namespace

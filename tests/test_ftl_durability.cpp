@@ -11,6 +11,7 @@
 #include "src/ftl/page_ftl.hpp"
 #include "src/ftl/parity_ftl.hpp"
 #include "src/ftl/rtf_ftl.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/runner.hpp"
 #include "src/util/random.hpp"
 
@@ -190,7 +191,7 @@ TEST(WearStats, TracksEraseDistribution) {
   for (Lpn lpn = 0; lpn < n; ++lpn) ASSERT_TRUE(ftl.write(lpn, 0).is_ok());
   Rng rng(5);
   for (int i = 0; i < 6000; ++i) ASSERT_TRUE(ftl.write(rng.next_below(n), 0).is_ok());
-  const nand::NandDevice::WearStats wear = ftl.device().wear_stats();
+  const obs::WearSummary wear = obs::collect_wear(ftl.device());
   EXPECT_GT(wear.max_erases, 0u);
   EXPECT_GE(wear.max_erases, wear.min_erases);
   EXPECT_GT(wear.mean_erases, 0.0);
@@ -202,7 +203,7 @@ TEST(WearStats, TracksEraseDistribution) {
 TEST(WearStats, FreshDeviceIsZero) {
   const nand::NandDevice dev(nand::Geometry::tiny(), nand::TimingSpec::zero(),
                              nand::SequenceKind::kRps);
-  const nand::NandDevice::WearStats wear = dev.wear_stats();
+  const obs::WearSummary wear = obs::collect_wear(dev);
   EXPECT_EQ(wear.min_erases, 0u);
   EXPECT_EQ(wear.max_erases, 0u);
   EXPECT_EQ(wear.mean_erases, 0.0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/ftl/page_ftl.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/util/random.hpp"
 
 namespace rps::ftl {
@@ -28,7 +29,7 @@ void skewed_workload(Ftl& ftl, int rounds, bool idle_between) {
 TEST(WearLeveling, DisabledByDefaultLetsWearDiverge) {
   PageFtl ftl(FtlConfig::tiny());
   skewed_workload(ftl, 8000, /*idle_between=*/true);
-  const nand::NandDevice::WearStats wear = ftl.device().wear_stats();
+  const obs::WearSummary wear = obs::collect_wear(ftl.device());
   // Cold blocks never cycle: the spread grows with the hot traffic.
   EXPECT_GT(wear.max_erases - wear.min_erases, 8u);
 }
@@ -38,7 +39,7 @@ TEST(WearLeveling, ThresholdBoundsTheSpread) {
   config.wear_level_threshold = 4;
   PageFtl ftl(config);
   skewed_workload(ftl, 8000, /*idle_between=*/true);
-  const nand::NandDevice::WearStats wear = ftl.device().wear_stats();
+  const obs::WearSummary wear = obs::collect_wear(ftl.device());
   // Leveling runs once per idle window; between windows the hot blocks
   // gain roughly writes_per_gap / pages_per_block / chips erases, so the
   // spread is bounded by threshold + that growth + slack.
@@ -54,7 +55,7 @@ TEST(WearLeveling, NeedsIdleTimeToAct) {
   config.wear_level_threshold = 4;
   PageFtl ftl(config);
   skewed_workload(ftl, 8000, /*idle_between=*/false);  // never idle
-  const nand::NandDevice::WearStats wear = ftl.device().wear_stats();
+  const obs::WearSummary wear = obs::collect_wear(ftl.device());
   EXPECT_GT(wear.max_erases - wear.min_erases, 4u + 3u);
 }
 

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -225,6 +226,7 @@ struct RefStream {
   std::size_t first_mapped_address = 0;  // offset of a mapped entry's chip u32
   std::size_t first_block_counts = 0;    // offset of block 0's valid-count u32
   std::size_t first_free_block = 0;      // offset of a free-list u32, 0 = none
+  std::size_t extra_begin = 0;           // offset of the policy's own state
 
   [[nodiscard]] std::size_t corrupted_pages() const {
     std::size_t n = 0;
@@ -357,8 +359,104 @@ RefStream ref_parse(const std::vector<std::uint8_t>& bytes) {
     }
     (void)r.u64();
   }
+  (void)r.bytes(sizeof(ftl::FtlStats));  // one u64 per counter
+  (void)r.bytes(3 * 4 + 8 + 4);          // round robins, write version, stream
+  s.extra_begin = r.pos();
   EXPECT_TRUE(r.ok()) << "reference decoder ran off the stream";
   return s;
+}
+
+/// One block cursor in a capture: the offset of its (valid, block, next)
+/// triple and the length of the order its `next` indexes.
+struct RefCursor {
+  std::size_t offset = 0;
+  bool valid = false;
+  std::uint32_t order = 0;
+};
+
+/// The policy state the cursor tests mutate: every active and backup
+/// cursor, parityFTL's first pending LSB address, and the fast block of
+/// the first flexFTL chip that has one (offsets; 0 = none).
+struct RefPolicy {
+  std::vector<RefCursor> active;
+  std::vector<RefCursor> backup;
+  std::size_t first_pending_address = 0;
+  std::size_t first_fast_block = 0;
+
+  /// The first valid cursor of `cursors`, if any.
+  static std::optional<RefCursor> first_valid(const std::vector<RefCursor>& cursors) {
+    for (const RefCursor& c : cursors) {
+      if (c.valid) return c;
+    }
+    return std::nullopt;
+  }
+};
+
+void ref_cursors(RefReader& r, std::uint32_t order, std::vector<RefCursor>& out) {
+  const std::uint64_t n = r.count(9);
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+    const std::size_t at = r.pos();
+    out.push_back({at, r.boolean(), order});
+    (void)r.u32();  // block
+    (void)r.u32();  // next
+  }
+}
+
+/// Parse the head of `kind`'s policy state (save_extra) as far as the
+/// fields RefPolicy locates.
+RefPolicy ref_parse_policy(const std::vector<std::uint8_t>& bytes, const RefStream& s,
+                           FtlKind kind, const nand::Geometry& g) {
+  RefReader r(bytes);
+  (void)r.bytes(s.extra_begin);
+  const std::uint32_t fps = 2 * g.wordlines_per_block;  // pages in FPS order
+  const std::uint32_t slc = g.wordlines_per_block;      // LSB pages only
+  RefPolicy p;
+  switch (kind) {
+    case FtlKind::kPage:
+      ref_cursors(r, fps, p.active);
+      break;
+    case FtlKind::kParity: {
+      ref_cursors(r, fps, p.active);
+      (void)r.bytes(32);         // accumulator record
+      (void)r.bytes(r.u64());    // accumulator payload
+      const std::uint64_t pending = r.count(13);
+      if (pending > 0) p.first_pending_address = r.pos();
+      (void)r.bytes(13 * pending);
+      (void)r.bytes(16 * r.count(16));  // coverage durability map
+      ref_cursors(r, slc, p.backup);
+      break;
+    }
+    case FtlKind::kRtf: {
+      const std::uint64_t chips = r.count(8);
+      for (std::uint64_t c = 0; c < chips && r.ok(); ++c) ref_cursors(r, fps, p.active);
+      ref_cursors(r, slc, p.backup);
+      break;
+    }
+    case FtlKind::kSlc:
+      ref_cursors(r, slc, p.active);
+      break;
+    case FtlKind::kFlex: {
+      const std::uint32_t lower = g.bits_per_cell - 1;  // passes with parity
+      const std::uint64_t chips = r.count(9);
+      for (std::uint64_t c = 0; c < chips && r.ok() && p.first_fast_block == 0; ++c) {
+        if (r.boolean()) p.first_fast_block = r.pos();
+        (void)r.u32();
+        for (std::uint32_t q = 0; q < lower; ++q) (void)r.bytes(4 * r.count(4));  // queues
+        for (std::uint32_t q = 0; q < lower; ++q) {
+          (void)r.bytes(32);       // accumulator record
+          (void)r.bytes(r.u64());  // accumulator payload
+        }
+        if (r.boolean()) (void)r.bytes(12);  // backup block
+        (void)r.bytes(12 * r.count(12));     // retiring backup blocks
+        (void)r.bytes(12 * r.count(12));     // parity durability
+        for (std::uint32_t q = 0; q < lower; ++q) (void)r.bytes(17 * r.count(17));
+        for (std::uint32_t q = 0; q < lower; ++q) (void)r.bytes(25 * r.count(25));
+      }
+      break;
+    }
+  }
+  EXPECT_TRUE(r.ok()) << "reference decoder ran off the stream";
+  return p;
 }
 
 // ---- Scenario ---------------------------------------------------------
@@ -592,19 +690,26 @@ TEST(SnapshotCodecPrimitives, OverflowingWriterStoresNothingPastTheEnd) {
 
 // ---- Loader validation --------------------------------------------------
 
-/// A flexFTL capture holding pending erases, an in-flight program, mapped
-/// pages and free blocks, with its reference parse.
+/// A capture of `kind` (flexFTL by default) holding pending erases, an
+/// in-flight program, mapped pages, free blocks and open cursors, with its
+/// reference parse. Two spare blocks per unit make the FTL-visible range
+/// end before the device's.
 struct MutableCapture {
+  FtlKind kind;
   ftl::FtlConfig config = codec_config(1);
+  std::uint32_t visible_blocks = 0;
   std::vector<std::uint8_t> bytes;
   RefStream ref;
+  RefPolicy policy;
 
-  MutableCapture() {
-    std::unique_ptr<ftl::FtlBase> ftl = make_ftl(FtlKind::kFlex, config);
+  explicit MutableCapture(FtlKind ftl_kind = FtlKind::kFlex) : kind(ftl_kind) {
+    std::unique_ptr<ftl::FtlBase> ftl = make_ftl(kind, config);
+    visible_blocks = ftl->device().visible_blocks();
     drive(*ftl, ftl->exported_pages() / 2, 0x1ead);
     write_until_pending_erase(*ftl, 0x1ead);
     bytes = Snapshot::capture(*ftl).bytes();
     ref = ref_parse(bytes);
+    policy = ref_parse_policy(bytes, ref, kind, config.geometry);
   }
 
   /// Overwrite a u32 field, re-checksum, and try to restore.
@@ -614,7 +719,7 @@ struct MutableCapture {
     ser::store_le(mutated.data() + offset, value);
     const Snapshot snapshot = rechecksum(std::move(mutated), ref.payload_begin);
     EXPECT_FALSE(snapshot.empty()) << "trailer recomputation failed";
-    std::unique_ptr<ftl::FtlBase> target = make_ftl(FtlKind::kFlex, config);
+    std::unique_ptr<ftl::FtlBase> target = make_ftl(kind, config);
     return snapshot.restore(*target);
   }
   [[nodiscard]] bool restores_with_u8(std::size_t offset, std::uint8_t value) const {
@@ -622,8 +727,15 @@ struct MutableCapture {
     std::vector<std::uint8_t> mutated = bytes;
     mutated[offset] = value;
     const Snapshot snapshot = rechecksum(std::move(mutated), ref.payload_begin);
-    std::unique_ptr<ftl::FtlBase> target = make_ftl(FtlKind::kFlex, config);
+    std::unique_ptr<ftl::FtlBase> target = make_ftl(kind, config);
     return snapshot.restore(*target);
+  }
+  /// Rewriting the u32 at `offset` with its own value restores.
+  [[nodiscard]] bool restores_unchanged_u32(std::size_t offset) const {
+    return restores_with_u32(offset, ser::load_le<std::uint32_t>(bytes.data() + offset));
+  }
+  [[nodiscard]] bool restores_unchanged_u8(std::size_t offset) const {
+    return restores_with_u8(offset, bytes[offset]);
   }
 };
 
@@ -664,6 +776,66 @@ TEST(SnapshotLoaderValidation, ChipRejectsOutOfRangeBlockIndices) {
   EXPECT_FALSE(capture.restores_with_u32(capture.ref.first_pending_block, blocks));
   ASSERT_NE(capture.ref.first_last_program_block, 0u);
   EXPECT_FALSE(capture.restores_with_u32(capture.ref.first_last_program_block, blocks));
+}
+
+constexpr FtlKind kCursorFtls[] = {FtlKind::kPage, FtlKind::kParity, FtlKind::kRtf,
+                                   FtlKind::kSlc};
+
+TEST(SnapshotLoaderValidation, CursorsRejectBlocksOutsideTheVisibleRange) {
+  for (const FtlKind kind : kCursorFtls) {
+    SCOPED_TRACE(to_string(kind));
+    const MutableCapture capture(kind);
+    ASSERT_LT(capture.visible_blocks, capture.config.geometry.blocks_per_chip);
+    std::vector<RefCursor> planted{capture.policy.active.front()};
+    if (kind == FtlKind::kParity || kind == FtlKind::kRtf) {
+      ASSERT_FALSE(capture.policy.backup.empty());
+      planted.push_back(capture.policy.backup.front());
+    }
+    for (const RefCursor& cursor : planted) {
+      const std::size_t block = cursor.offset + 1;
+      EXPECT_TRUE(capture.restores_unchanged_u32(block));
+      // The first spare block: on the device, but not the FTL's to write.
+      EXPECT_FALSE(capture.restores_with_u32(block, capture.visible_blocks));
+    }
+  }
+}
+
+TEST(SnapshotLoaderValidation, CursorsRejectANextPastTheirOrder) {
+  for (const FtlKind kind : kCursorFtls) {
+    SCOPED_TRACE(to_string(kind));
+    const MutableCapture capture(kind);
+    std::vector<std::optional<RefCursor>> planted{
+        RefPolicy::first_valid(capture.policy.active)};
+    if (kind == FtlKind::kParity || kind == FtlKind::kRtf) {
+      planted.push_back(RefPolicy::first_valid(capture.policy.backup));
+    }
+    for (const std::optional<RefCursor>& cursor : planted) {
+      ASSERT_TRUE(cursor.has_value());
+      const std::size_t next = cursor->offset + 5;
+      EXPECT_TRUE(capture.restores_unchanged_u32(next));
+      // A valid cursor always has a page left (rtfFTL reads order_[next]).
+      EXPECT_FALSE(capture.restores_with_u32(next, cursor->order));
+      EXPECT_FALSE(capture.restores_with_u32(next, cursor->order + 1));
+    }
+  }
+}
+
+TEST(SnapshotLoaderValidation, FlexRejectsAFastBlockOutsideTheVisibleRange) {
+  const MutableCapture capture;
+  ASSERT_EQ(capture.config.bad_blocks.spare_blocks_per_unit, 2u);
+  ASSERT_NE(capture.policy.first_fast_block, 0u);
+  EXPECT_TRUE(capture.restores_unchanged_u32(capture.policy.first_fast_block));
+  EXPECT_FALSE(
+      capture.restores_with_u32(capture.policy.first_fast_block, capture.visible_blocks));
+}
+
+TEST(SnapshotLoaderValidation, ParityRejectsAPendingAddressOffTheDevice) {
+  const MutableCapture capture(FtlKind::kParity);
+  const std::size_t at = capture.policy.first_pending_address;
+  ASSERT_NE(at, 0u);
+  EXPECT_TRUE(capture.restores_unchanged_u8(at + 12));
+  EXPECT_FALSE(capture.restores_with_u8(at + 12, 3));  // page type
+  EXPECT_FALSE(capture.restores_with_u32(at + 4, capture.visible_blocks));
 }
 
 TEST(SnapshotLoaderValidation, TlcRejectsOutOfRangeAddressesAndBlocks) {
