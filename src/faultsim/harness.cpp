@@ -4,8 +4,6 @@
 #include <array>
 #include <cassert>
 #include <charconv>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "src/controller/controller.hpp"
@@ -104,8 +102,7 @@ std::vector<host::TenantConfig> make_tenants(const FaultSimConfig& config,
 }  // namespace
 
 std::uint64_t WarmStart::digest() const {
-  std::uint64_t h = ser::fnv1a(ftl.bytes());
-  return ser::fnv1a(oracle.data(), oracle.size(), h);
+  return ser::fnv1a(oracle.data(), oracle.size(), ftl.digest());
 }
 
 namespace {
@@ -113,14 +110,13 @@ constexpr std::uint64_t kWarmStartMagic = 0x314d524157535052ull;  // "RPSWARM1"
 }  // namespace
 
 bool WarmStart::save_file(const std::string& path) const {
-  const std::uint64_t trailer = digest();
   const std::vector<std::uint8_t> bytes = ser::encode([&](ser::Writer& w) {
     w.u64(kWarmStartMagic);
     w.u64(ftl.bytes().size());
-    w.bytes(ftl.bytes().data(), ftl.bytes().size());
+    const std::uint64_t ftl_digest = ftl.write_sealed(w);
     w.u64(oracle.size());
     w.bytes(oracle.data(), oracle.size());
-    w.u64(trailer);
+    w.u64(ser::fnv1a(oracle.data(), oracle.size(), ftl_digest));  // digest()
   });
   return ser::write_file(path, bytes);
 }
@@ -292,12 +288,6 @@ TrialResult run_trial(const FaultSimConfig& config, obs::TraceSink* sink,
   completes.erase(std::unique(completes.begin(), completes.end()), completes.end());
   out.boundaries = std::move(completes);
 
-  if (report.crashed && std::getenv("FAULTSIM_DEBUG") != nullptr) {
-    for (const nand::PowerLossVictim& v : victims) {
-      std::fprintf(stderr, "[victim] chip=%u block=%u wl=%u type=%s\n", v.chip,
-                   v.block, v.pos.wordline, nand::to_string(v.pos.type));
-    }
-  }
   if (report.crashed && sink != nullptr) {
     sink->record(obs::EventKind::kPowerLossCut, 0, crash, -1, victims.size());
   }

@@ -116,7 +116,8 @@ struct WarmStart {
   std::vector<std::uint8_t> oracle;
 
   [[nodiscard]] bool empty() const { return ftl.empty(); }
-  /// FNV-1a over both sections (the snapshot-smoke CI digest).
+  /// FNV-1a over both exported sections, the oracle bytes chained onto
+  /// the snapshot's digest() (the snapshot-smoke CI digest).
   [[nodiscard]] std::uint64_t digest() const;
 
   /// File round-trip (faultsim --snapshot / --from-snapshot).

@@ -1,8 +1,5 @@
 #include "src/faultsim/oracle.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "src/util/serialize.hpp"
 
 namespace rps::faultsim {
@@ -93,23 +90,6 @@ OracleCheck ShadowOracle::check(ftl::FtlBase& ftl, Microseconds crash_time,
     const bool ok = data.is_ok() && data.value().record.version == newest.version &&
                     data.value().record.signature == newest.signature;
     if (ok) continue;
-    if (std::getenv("FAULTSIM_DEBUG") != nullptr) {
-      std::fprintf(stderr, "[oracle] lpn=%llu expected v%llu sig=%llx; read %s",
-                   (unsigned long long)lpn, (unsigned long long)newest.version,
-                   (unsigned long long)newest.signature,
-                   data.is_ok() ? "ok" : "FAILED");
-      if (data.is_ok()) {
-        std::fprintf(stderr, " v%llu sig=%llx",
-                     (unsigned long long)data.value().record.version,
-                     (unsigned long long)data.value().record.signature);
-      }
-      std::fprintf(stderr, "; history:");
-      for (const WriteRecord& r : records) {
-        std::fprintf(stderr, " (v%llu acked=%lld)", (unsigned long long)r.version,
-                     (long long)r.acked_at);
-      }
-      std::fprintf(stderr, "\n");
-    }
     if (data.is_ok()) {
       ++result.stale;
     } else {

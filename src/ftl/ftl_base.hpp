@@ -7,10 +7,10 @@
 // Concrete FTLs (pageFTL, parityFTL, rtfFTL, flexFTL, slcFTL) implement
 // the ctrl::Allocator interface — the page *allocation policy*: where a
 // host write and a GC copy land on a given chip, and what backup work
-// surrounds them. Chip selection is NOT the policy's job: the legacy
-// write() path picks a chip itself (capacity-aware round robin), while
-// the command controller (src/controller/) binds ops to idle chips and
-// enters through write_on().
+// surrounds them. Chip selection is NOT the policy's job: write(), the
+// set-up path (preconditioning and fills), picks a chip itself
+// (capacity-aware round robin), while the command controller
+// (src/controller/) binds ops to idle chips and enters through write_on().
 #pragma once
 
 #include <algorithm>
@@ -177,16 +177,16 @@ class FtlBase : public ctrl::Allocator {
   /// restricted to the units idle at `t`, preferring `anchor_die`'s idle
   /// planes (-1 = no anchor); see pick_unit. With the whole array idle
   /// this is exactly pick_chip() — which is what makes controller
-  /// placement bit-identical to the legacy path whenever the whole array
-  /// is idle. The round robin advances only when a unit is found.
+  /// placement bit-identical to write()'s whenever the whole array is
+  /// idle. The round robin advances only when a unit is found.
   UnitPick pick_idle_unit(Microseconds t, std::int64_t anchor_die);
 
-  /// The unconstrained legacy chip pick (controller's no-striping mode).
+  /// write()'s unconstrained chip pick (controller's no-striping mode).
   std::uint32_t pick_unconstrained_chip() { return pick_chip(); }
 
   /// Observe every mapping commit (lpn -> physical page), in program
   /// order. The differential tests use this to compare the controller
-  /// path's placement sequence against the legacy path's.
+  /// path's placement sequence against write()'s.
   using PlacementObserver = std::function<void(Lpn, const nand::PageAddress&)>;
   void set_placement_observer(PlacementObserver observer) {
     placement_observer_ = std::move(observer);

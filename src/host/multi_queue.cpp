@@ -54,30 +54,6 @@ void MultiQueueFrontend::add_tenant(const TenantConfig& config,
   queues_.push_back(std::move(q));
 }
 
-void MultiQueueFrontend::attach_tenant_sampler(std::uint32_t tenant,
-                                               obs::StateSampler* sampler) {
-  Queue& q = queues_.at(tenant);
-  q.sampler = sampler;
-  if (sampler == nullptr) return;
-  sampler->set_collector([this, tenant](obs::StateSample& sample) {
-    const Queue& queue = queues_[tenant];
-    const auto& reqs = queue.trace.requests();
-    sample.q = -1;
-    sample.sbqueue = queue.in_flight;
-    // Backlog: arrived by the current instant, not yet admitted.
-    const auto begin = reqs.begin() + static_cast<std::ptrdiff_t>(queue.next);
-    const auto it = std::upper_bound(
-        begin, reqs.end(), cur_time_,
-        [](Microseconds t, const workload::IoRequest& r) { return t < r.arrival_us; });
-    sample.queued_write_ops = static_cast<std::uint64_t>(it - begin);
-    // Progress through the tenant's trace, repurposing the free-fraction
-    // column of the shared sample schema.
-    sample.free_fraction =
-        reqs.empty() ? 1.0
-                     : static_cast<double>(queue.next) / static_cast<double>(reqs.size());
-  });
-}
-
 void MultiQueueFrontend::set_observability(obs::TraceSink* sink,
                                            obs::StateSampler* sampler) {
   controller_->set_observability(sink, sampler);
@@ -272,19 +248,6 @@ void MultiQueueFrontend::process_instant(Microseconds t) {
     const std::size_t before = pending_.size();
     harvest(t);
     if (pending_.size() != before) progress = true;
-  }
-  tick_samplers(t);
-}
-
-void MultiQueueFrontend::tick_samplers(Microseconds t) {
-  for (Queue& q : queues_) {
-    if (q.sampler == nullptr) continue;
-    q.sampler->set_utilization(
-        q.config.in_flight_cap == 0
-            ? 0.0
-            : static_cast<double>(q.in_flight) /
-                  static_cast<double>(q.config.in_flight_cap));
-    q.sampler->tick(t);
   }
 }
 

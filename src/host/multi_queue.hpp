@@ -109,13 +109,6 @@ class MultiQueueFrontend {
   /// order 0..N-1, before run().
   void add_tenant(const TenantConfig& config, workload::Trace trace);
 
-  /// Per-tenant StateSampler lane (borrowed, may be null). The frontend
-  /// installs a collector exposing that tenant's live queue state — u =
-  /// in-flight / cap, sbqueue = in-flight commands, queued_write_ops =
-  /// backlog (arrived, not yet admitted) — and ticks it at every event
-  /// instant of the replay.
-  void attach_tenant_sampler(std::uint32_t tenant, obs::StateSampler* sampler);
-
   /// Controller-level observability pass-through (trace sink + global
   /// sampler, both borrowed / nullable).
   void set_observability(obs::TraceSink* sink, obs::StateSampler* sampler);
@@ -145,7 +138,6 @@ class MultiQueueFrontend {
     std::size_t next = 0;        // first request not yet admitted
     std::uint32_t in_flight = 0; // admitted, not yet completed
     TenantResult result;
-    obs::StateSampler* sampler = nullptr;
   };
   struct Pending {
     std::uint32_t tenant = 0;
@@ -191,7 +183,6 @@ class MultiQueueFrontend {
   void on_budget_released();
   void process_instant(Microseconds t);
   void harvest(Microseconds t);
-  void tick_samplers(Microseconds t);
 
   ftl::FtlBase& ftl_;
   MultiQueueConfig config_;
@@ -205,7 +196,7 @@ class MultiQueueFrontend {
   std::uint64_t in_flight_write_pages_ = 0;
   std::uint64_t in_flight_pages_ = 0;  // all commands; the shared budget
   Microseconds last_completion_ = 0;
-  Microseconds cur_time_ = 0;  // samplers' collectors read this
+  Microseconds cur_time_ = 0;  // the instant being processed
   bool started_ = false;       // true once the first instant was processed
   std::uint64_t idle_windows_ = 0;
   // Incremental-eligibility mirrors: tenants the arbiter currently sees

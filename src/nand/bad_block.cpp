@@ -189,6 +189,11 @@ void BadBlockTable::load(ser::Reader& r) {
     r.fail();
     return;
   }
+  const auto is_spare = [this](std::uint32_t block) {
+    return block >= visible_blocks_ && block < blocks_per_unit_;
+  };
+  bool remapped = false;
+  bool retired = false;
   for (UnitState& unit : units_) {
     unit.remap.clear();
     unit.reverse.clear();
@@ -198,11 +203,17 @@ void BadBlockTable::load(ser::Reader& r) {
       return;
     }
     for (std::uint64_t i = 0; i < remaps; ++i) {
+      // A visible block backed by a spare, each of them in one pair only.
       const std::uint32_t visible = r.u32();
       const std::uint32_t physical = r.u32();
-      unit.remap.emplace(visible, physical);
-      unit.reverse.emplace(physical, visible);
+      if (visible >= visible_blocks_ || !is_spare(physical) ||
+          !unit.remap.emplace(visible, physical).second ||
+          !unit.reverse.emplace(physical, visible).second) {
+        r.fail();
+        return;
+      }
     }
+    remapped = remapped || !unit.remap.empty();
     unit.spare_free.clear();
     const std::uint64_t spares = r.u64();
     if (spares > r.remaining()) {
@@ -210,7 +221,17 @@ void BadBlockTable::load(ser::Reader& r) {
       return;
     }
     unit.spare_free.reserve(static_cast<std::size_t>(spares));
-    for (std::uint64_t i = 0; i < spares; ++i) unit.spare_free.push_back(r.u32());
+    for (std::uint64_t i = 0; i < spares; ++i) {
+      // Unused spares: ascending (take_spare pops the lowest), none of
+      // them backing a visible block.
+      const std::uint32_t spare = r.u32();
+      if (!is_spare(spare) || (!unit.spare_free.empty() && spare <= unit.spare_free.back()) ||
+          unit.reverse.count(spare) != 0) {
+        r.fail();
+        return;
+      }
+      unit.spare_free.push_back(spare);
+    }
     if (r.u64() != unit.bad.size()) {
       r.fail();
       return;
@@ -220,7 +241,10 @@ void BadBlockTable::load(ser::Reader& r) {
       r.fail();
       return;
     }
-    for (std::size_t i = 0; i < unit.retired.size(); ++i) unit.retired[i] = r.boolean();
+    for (std::size_t i = 0; i < unit.retired.size(); ++i) {
+      unit.retired[i] = r.boolean();
+      retired = retired || unit.retired[i];
+    }
   }
   counters_.factory_bad = r.u64();
   counters_.grown_bad = r.u64();
@@ -228,6 +252,10 @@ void BadBlockTable::load(ser::Reader& r) {
   counters_.retired = r.u64();
   any_remap_ = r.boolean();
   any_retired_ = r.boolean();
+  // The fast-path flags gate translate() and is_retired(): one clear over
+  // a remap or a retirement would hide it. any_remap_ may outlive the
+  // last remap (remap() drops a stale pair before it retires the block).
+  if ((remapped && !any_remap_) || retired != any_retired_) r.fail();
 }
 
 }  // namespace rps::nand

@@ -53,14 +53,6 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void LatencyHistogram::clear() {
-  counts_.clear();
-  total_ = 0;
-  sum_ = 0;
-  min_ = std::numeric_limits<std::uint64_t>::max();
-  max_ = 0;
-}
-
 std::uint64_t LatencyHistogram::percentile(double p) const {
   if (total_ == 0) return 0;
   if (p <= 0.0) return min();

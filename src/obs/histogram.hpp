@@ -37,8 +37,6 @@ class LatencyHistogram {
   /// and max all combine with commutative integer ops.
   void merge(const LatencyHistogram& other);
 
-  void clear();
-
   /// Pre-size the bucket array to its maximum possible extent (~58 KiB)
   /// so no later add() grows it — lets a caller front-load every
   /// allocation before an allocation-audited window. Semantics are

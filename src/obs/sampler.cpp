@@ -75,11 +75,6 @@ void StateSampler::forward_counters(const StateSample& s) {
   sink.record_counter(CounterTrack::kMeanPe, s.ts, micro(s.wear_mean_pe));
 }
 
-void StateSampler::clear() {
-  samples_.clear();
-  last_slot_ = -1;
-}
-
 std::string StateSampler::to_csv() const {
   std::string out = "ts_us,u,q,sbqueue,free_frac,write_q";
   const std::size_t chips = samples_.empty() ? 0 : samples_.front().chip_queue.size();
@@ -118,44 +113,6 @@ std::string StateSampler::to_csv() const {
 
 bool StateSampler::write_csv(const std::string& path) const {
   return write_text(path, to_csv());
-}
-
-std::string StateSampler::to_json() const {
-  std::string out = "[\n";
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    const StateSample& s = samples_[i];
-    out += "{\"ts_us\":";
-    append_i64(out, s.ts);
-    out += ",\"u\":";
-    append_f64(out, s.u);
-    out += ",\"q\":";
-    append_i64(out, s.q);
-    out += ",\"sbqueue\":";
-    append_u64(out, s.sbqueue);
-    out += ",\"free_frac\":";
-    append_f64(out, s.free_fraction);
-    out += ",\"write_q\":";
-    append_u64(out, s.queued_write_ops);
-    out += ",\"chip_queue\":[";
-    for (std::size_t c = 0; c < s.chip_queue.size(); ++c) {
-      if (c != 0) out += ',';
-      append_u64(out, s.chip_queue[c]);
-    }
-    out += "],\"max_pe\":";
-    append_u64(out, s.wear_max_pe);
-    out += ",\"mean_pe\":";
-    append_f64(out, s.wear_mean_pe);
-    out += ",\"waf\":";
-    append_f64(out, s.waf);
-    out += '}';
-    out += i + 1 < samples_.size() ? ",\n" : "\n";
-  }
-  out += "]\n";
-  return out;
-}
-
-bool StateSampler::write_json(const std::string& path) const {
-  return write_text(path, to_json());
 }
 
 }  // namespace rps::obs

@@ -39,7 +39,7 @@ struct StateSample {
   std::vector<std::uint64_t> chip_queue;  // per-chip queued read ops
 
   // Wear / write-amplification lanes (ISSUE 10). Appended after the chip
-  // columns in the CSV/JSON exports so pre-existing column positions are
+  // columns in the CSV export so pre-existing column positions are
   // stable. Filled by collectors with wear-ledger access; defaults mean
   // "not collected".
   std::uint64_t wear_max_pe = 0;  // max per-block erase count, device-wide
@@ -76,16 +76,11 @@ class StateSampler {
 
   [[nodiscard]] Microseconds period() const { return period_; }
   [[nodiscard]] const std::vector<StateSample>& samples() const { return samples_; }
-  void clear();
 
   /// CSV time series: ts_us,u,q,sbqueue,free_frac,write_q,chip0,chip1,...
   /// (one chipN column per chip of the first sample).
   [[nodiscard]] std::string to_csv() const;
   bool write_csv(const std::string& path) const;
-
-  /// JSON array of sample objects (same fields as the CSV).
-  [[nodiscard]] std::string to_json() const;
-  bool write_json(const std::string& path) const;
 
  private:
   void forward_counters(const StateSample& sample);

@@ -19,7 +19,9 @@
 //   u64  payload size
 //   ...  payload    FtlBase::save_state stream (opens with the NandDevice
 //                   stream)
-//   u64  payload FNV-1a (file-corruption guard)
+//   u64  payload FNV-1a (file-corruption guard). Written only on export
+//                   (write_sealed, save_file): in memory the slot is zero,
+//                   because nothing in-process checks it.
 //
 // Determinism contract: the byte stream is canonical — unordered
 // containers are serialized sorted by key, doubles as IEEE-754 bit
@@ -67,19 +69,26 @@ class Snapshot {
   /// FTL of the captured config always succeeds.
   [[nodiscard]] bool restore(ftl::FtlBase& ftl) const;
 
-  /// FNV-1a over the whole stream (header + payload). Two FTLs in the
-  /// same logical state produce equal digests; the golden-digest tests
-  /// pin these for the paper geometry.
-  [[nodiscard]] std::uint64_t digest() const { return ser::fnv1a(bytes_); }
+  /// FNV-1a over the whole exported stream (header, payload, trailer).
+  /// Two FTLs in the same logical state produce equal digests; the
+  /// golden-digest tests pin these for the paper geometry.
+  [[nodiscard]] std::uint64_t digest() const;
 
   /// Header accessors (empty/zero when the header is malformed).
   [[nodiscard]] bool valid() const;
   [[nodiscard]] std::string ftl_name() const;
 
+  /// The stream with its trailer slot zero, for a capture and a reload
+  /// alike.
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   [[nodiscard]] bool empty() const { return bytes_.empty(); }
 
-  /// Adopt a raw stream (file I/O, embedding in a larger container).
+  /// Export: append the stream with its trailer filled in to `w` and
+  /// return digest(), both from one pass. A sizing pass only counts the
+  /// bytes and returns 0.
+  std::uint64_t write_sealed(ser::Writer& w) const;
+
+  /// Adopt an exported stream (a file, embedding in a larger container).
   static Snapshot from_bytes(std::vector<std::uint8_t> bytes);
 
   /// Whole-snapshot file I/O. load_file returns nullopt when the file is

@@ -63,10 +63,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(next_below(span));
 }
 
-double Rng::uniform_real(double lo, double hi) {
-  return lo + (hi - lo) * next_double();
-}
-
 bool Rng::chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

@@ -28,9 +28,6 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Uniform double in [lo, hi).
-  double uniform_real(double lo, double hi);
-
   /// Bernoulli trial.
   bool chance(double p);
 

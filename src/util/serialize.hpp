@@ -197,19 +197,23 @@ class Reader {
   bool ok_ = true;
 };
 
+/// 64-bit FNV-1a's offset basis and prime.
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+
 /// FNV-1a over a byte range — the digest primitive every determinism check
 /// in this repo uses (faultsim replay, bench_simcore matrix, snapshots).
 [[nodiscard]] inline std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size,
-                                         std::uint64_t h = 0xcbf29ce484222325ull) {
+                                         std::uint64_t h = kFnvBasis) {
   for (std::size_t i = 0; i < size; ++i) {
     h ^= data[i];
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
   return h;
 }
 
 [[nodiscard]] inline std::uint64_t fnv1a(const std::vector<std::uint8_t>& data,
-                                         std::uint64_t h = 0xcbf29ce484222325ull) {
+                                         std::uint64_t h = kFnvBasis) {
   return fnv1a(data.data(), data.size(), h);
 }
 

@@ -66,11 +66,6 @@ void SampleSet::add_all(const std::vector<double>& xs) {
   sorted_ = false;
 }
 
-void SampleSet::clear() {
-  samples_.clear();
-  sorted_ = true;
-}
-
 void SampleSet::ensure_sorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());
@@ -131,11 +126,6 @@ std::vector<std::pair<double, double>> SampleSet::cdf_curve(std::size_t points) 
     curve.emplace_back(x, cdf_at(x));
   }
   return curve;
-}
-
-const std::vector<double>& SampleSet::sorted() const {
-  ensure_sorted();
-  return samples_;
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -53,7 +53,6 @@ class SampleSet {
   void add(double x);
   void add_all(const std::vector<double>& xs);
   void reserve(std::size_t n) { samples_.reserve(n); }
-  void clear();
 
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
@@ -72,8 +71,6 @@ class SampleSet {
 
   /// `points` evenly spaced (x, F(x)) pairs spanning [min, max].
   [[nodiscard]] std::vector<std::pair<double, double>> cdf_curve(std::size_t points) const;
-
-  [[nodiscard]] const std::vector<double>& sorted() const;
 
  private:
   void ensure_sorted() const;

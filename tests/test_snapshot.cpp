@@ -15,12 +15,17 @@
 // replays leave on the tiny devices (tests/data/snapshot_digests_replay.txt),
 // which pins what host reads change: timelines, read counters and every
 // block's read-disturb count.
+//
+// A capture's bytes() carry a zero trailer slot: the FNV-1a trailer is
+// written only on export (save_file), so the checksum tests corrupt and
+// verify the exported stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +36,7 @@
 #include "src/sim/simulator.hpp"
 #include "src/sim/snapshot.hpp"
 #include "src/util/random.hpp"
+#include "src/util/serialize.hpp"
 #include "src/workload/generator.hpp"
 
 namespace rps::sim {
@@ -204,13 +210,31 @@ TEST(SnapshotFile, TruncatedFileIsRejected) {
   std::remove(path.c_str());
 }
 
+/// The bytes save_file writes for `snapshot`: its exported stream.
+std::vector<std::uint8_t> exported(const Snapshot& snapshot) {
+  const std::string path = testing::TempDir() + "rps_snapshot_exported.bin";
+  EXPECT_TRUE(snapshot.save_file(path));
+  std::optional<std::vector<std::uint8_t>> bytes = ser::read_file(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(bytes.has_value());
+  return bytes.value_or(std::vector<std::uint8_t>{});
+}
+
 TEST(SnapshotValidation, CorruptedPayloadFailsChecksum) {
   const ftl::FtlConfig config = ftl::FtlConfig::tiny();
   std::unique_ptr<ftl::FtlBase> ftl = make_ftl(FtlKind::kParity, config);
   fill(*ftl, 0xbad);
   const Snapshot snapshot = Snapshot::capture(*ftl);
 
-  std::vector<std::uint8_t> bytes = snapshot.bytes();
+  std::vector<std::uint8_t> bytes = exported(snapshot);
+  ASSERT_EQ(bytes.size(), snapshot.bytes().size());
+  // Control: the exported stream as written verifies and restores, so the
+  // rejection below is the flipped bit's doing.
+  const Snapshot intact = Snapshot::from_bytes(bytes);
+  ASSERT_FALSE(intact.empty());
+  std::unique_ptr<ftl::FtlBase> control = make_ftl(FtlKind::kParity, config);
+  EXPECT_TRUE(intact.restore(*control));
+
   bytes[bytes.size() / 2] ^= 0x01;  // one bit, middle of the payload
   const Snapshot corrupted = Snapshot::from_bytes(std::move(bytes));
   EXPECT_TRUE(corrupted.empty());
@@ -274,10 +298,9 @@ std::map<std::string, std::string> load_pinned(const std::string& file) {
   return pinned;
 }
 
-std::string hex_digest(const Snapshot& snapshot) {
+std::string hex_digest(std::uint64_t digest) {
   char out[17];
-  std::snprintf(out, sizeof out, "%016llx",
-                static_cast<unsigned long long>(snapshot.digest()));
+  std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(digest));
   return out;
 }
 
@@ -294,11 +317,41 @@ TEST(SnapshotGolden, PaperGeometryDigestsMatchPinned) {
   ExperimentSpec spec;  // paper geometry: the FtlConfig default
   spec.sim.precondition_fraction = 0.05;
   for (const FtlKind kind : kKinds) {
-    const std::string actual = hex_digest(make_precondition_snapshot(kind, spec));
+    const std::string actual = hex_digest(make_precondition_snapshot(kind, spec).digest());
     ASSERT_TRUE(pinned.count(to_string(kind))) << to_string(kind);
     EXPECT_EQ(pinned[to_string(kind)], actual)
         << to_string(kind) << ": actual " << actual;
   }
+}
+
+// The export path on the same goldens: each save_file output hashes to
+// the pinned digest, reloads with the trailer slot zeroed again (bytes()
+// equal the capture's), and restores to a state that captures the same
+// digest.
+TEST(SnapshotGolden, PaperGeometryExportsMatchPinned) {
+  std::map<std::string, std::string> pinned = load_pinned("snapshot_digests_paper.txt");
+  ASSERT_EQ(pinned.size(), std::size(kKinds)) << "tests/data/snapshot_digests_paper.txt";
+
+  ExperimentSpec spec;
+  spec.sim.precondition_fraction = 0.05;
+  const std::string path = testing::TempDir() + "rps_snapshot_golden.bin";
+  for (const FtlKind kind : kKinds) {
+    SCOPED_TRACE(to_string(kind));
+    const std::string& pin = pinned[to_string(kind)];
+    const Snapshot snapshot = make_precondition_snapshot(kind, spec);
+    ASSERT_TRUE(snapshot.save_file(path));
+    const std::optional<std::vector<std::uint8_t>> file = ser::read_file(path);
+    ASSERT_TRUE(file.has_value());
+    EXPECT_EQ(hex_digest(ser::fnv1a(*file)), pin);
+
+    const std::optional<Snapshot> loaded = Snapshot::load_file(path);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_TRUE(loaded->bytes() == snapshot.bytes());
+    std::unique_ptr<ftl::FtlBase> restored = make_ftl(kind, spec.ftl_config);
+    ASSERT_TRUE(loaded->restore(*restored));
+    EXPECT_EQ(hex_digest(Snapshot::capture(*restored).digest()), pin);
+  }
+  std::remove(path.c_str());
 }
 
 // Post-replay goldens: the device state a seeded OLTP replay (70% reads)
@@ -412,7 +465,7 @@ std::string replay_digest(const ReplayCase& c) {
     EXPECT_TRUE(sensed) << c.name;
     EXPECT_GT(sim.run(tail).pages_read, 0u);
   }
-  return hex_digest(Snapshot::capture(*ftl));
+  return hex_digest(Snapshot::capture(*ftl).digest());
 }
 
 TEST(SnapshotGolden, PostReplayDigestsMatchPinned) {

@@ -23,10 +23,12 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/ftl/ftl_base.hpp"
 #include "src/nand/attribution.hpp"
+#include "src/nand/bad_block.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/snapshot.hpp"
 #include "src/util/random.hpp"
@@ -227,6 +229,14 @@ struct RefStream {
   std::size_t first_block_counts = 0;    // offset of block 0's valid-count u32
   std::size_t first_free_block = 0;      // offset of a free-list u32, 0 = none
   std::size_t extra_begin = 0;           // offset of the policy's own state
+  // Bad-block table, per unit: the offset of each remap pair (visible
+  // u32, then physical u32), of each spare-pool u32 and of the retired
+  // flags; then the offsets of the any-remap and any-retired flag bytes.
+  std::vector<std::vector<std::size_t>> remap_pairs;
+  std::vector<std::vector<std::size_t>> spare_pool;
+  std::vector<std::size_t> retired_flags;
+  std::size_t any_remap_flag = 0;
+  std::size_t any_retired_flag = 0;
 
   [[nodiscard]] std::size_t corrupted_pages() const {
     std::size_t n = 0;
@@ -308,15 +318,28 @@ void ref_parse_device(RefReader& r, RefStream& s) {
   const std::uint64_t channels = r.count(8);
   for (std::uint64_t i = 0; i < channels; ++i) (void)r.i64();
   const std::uint64_t bad_units = r.count(32);
+  s.remap_pairs.resize(bad_units);
+  s.spare_pool.resize(bad_units);
   for (std::uint64_t u = 0; u < bad_units && r.ok(); ++u) {
     const std::uint64_t remaps = r.count(8);
-    for (std::uint64_t i = 0; i < remaps; ++i) (void)r.bytes(8);
-    (void)r.bytes(4 * r.count(4));  // spare pool
-    (void)r.bytes(r.count(1));      // bad flags
-    (void)r.bytes(r.count(1));      // retired flags
+    for (std::uint64_t i = 0; i < remaps; ++i) {
+      s.remap_pairs[u].push_back(r.pos());
+      (void)r.bytes(8);
+    }
+    const std::uint64_t spares = r.count(4);
+    for (std::uint64_t i = 0; i < spares; ++i) {
+      s.spare_pool[u].push_back(r.pos());
+      (void)r.u32();
+    }
+    (void)r.bytes(r.count(1));  // bad flags
+    const std::uint64_t retired = r.count(1);
+    s.retired_flags.push_back(r.pos());
+    (void)r.bytes(retired);
   }
   for (int i = 0; i < 4; ++i) (void)r.u64();
+  s.any_remap_flag = r.pos();
   (void)r.boolean();
+  s.any_retired_flag = r.pos();
   (void)r.boolean();
   (void)r.boolean();  // cache program
   (void)r.u64();      // power losses
@@ -693,7 +716,8 @@ TEST(SnapshotCodecPrimitives, OverflowingWriterStoresNothingPastTheEnd) {
 /// A capture of `kind` (flexFTL by default) holding pending erases, an
 /// in-flight program, mapped pages, free blocks and open cursors, with its
 /// reference parse. Two spare blocks per unit make the FTL-visible range
-/// end before the device's.
+/// end before the device's; `bad_block_seed` picks the factory marks, so
+/// which units hold remaps, free spares and retired blocks.
 struct MutableCapture {
   FtlKind kind;
   ftl::FtlConfig config = codec_config(1);
@@ -702,7 +726,10 @@ struct MutableCapture {
   RefStream ref;
   RefPolicy policy;
 
-  explicit MutableCapture(FtlKind ftl_kind = FtlKind::kFlex) : kind(ftl_kind) {
+  explicit MutableCapture(FtlKind ftl_kind = FtlKind::kFlex,
+                          std::uint64_t bad_block_seed = nand::BadBlockConfig{}.seed)
+      : kind(ftl_kind) {
+    config.bad_blocks.seed = bad_block_seed;
     std::unique_ptr<ftl::FtlBase> ftl = make_ftl(kind, config);
     visible_blocks = ftl->device().visible_blocks();
     drive(*ftl, ftl->exported_pages() / 2, 0x1ead);
@@ -712,15 +739,21 @@ struct MutableCapture {
     policy = ref_parse_policy(bytes, ref, kind, config.geometry);
   }
 
-  /// Overwrite a u32 field, re-checksum, and try to restore.
-  [[nodiscard]] bool restores_with_u32(std::size_t offset, std::uint32_t value) const {
-    EXPECT_NE(offset, 0u);
+  /// Overwrite u32 fields (offset, value), re-checksum, and try to restore.
+  [[nodiscard]] bool restores_with_u32s(
+      const std::vector<std::pair<std::size_t, std::uint32_t>>& fields) const {
     std::vector<std::uint8_t> mutated = bytes;
-    ser::store_le(mutated.data() + offset, value);
+    for (const auto& [offset, value] : fields) {
+      EXPECT_NE(offset, 0u);
+      ser::store_le(mutated.data() + offset, value);
+    }
     const Snapshot snapshot = rechecksum(std::move(mutated), ref.payload_begin);
     EXPECT_FALSE(snapshot.empty()) << "trailer recomputation failed";
     std::unique_ptr<ftl::FtlBase> target = make_ftl(kind, config);
     return snapshot.restore(*target);
+  }
+  [[nodiscard]] bool restores_with_u32(std::size_t offset, std::uint32_t value) const {
+    return restores_with_u32s({{offset, value}});
   }
   [[nodiscard]] bool restores_with_u8(std::size_t offset, std::uint8_t value) const {
     EXPECT_NE(offset, 0u);
@@ -736,6 +769,19 @@ struct MutableCapture {
   }
   [[nodiscard]] bool restores_unchanged_u8(std::size_t offset) const {
     return restores_with_u8(offset, bytes[offset]);
+  }
+
+  [[nodiscard]] std::uint32_t u32_at(std::size_t offset) const {
+    return ser::load_le<std::uint32_t>(bytes.data() + offset);
+  }
+  /// The first unit with at least `remaps` remap pairs and `spares`
+  /// spare-pool entries.
+  [[nodiscard]] std::optional<std::size_t> unit_with(std::size_t remaps,
+                                                     std::size_t spares) const {
+    for (std::size_t u = 0; u < ref.remap_pairs.size(); ++u) {
+      if (ref.remap_pairs[u].size() >= remaps && ref.spare_pool[u].size() >= spares) return u;
+    }
+    return std::nullopt;
   }
 };
 
@@ -836,6 +882,81 @@ TEST(SnapshotLoaderValidation, ParityRejectsAPendingAddressOffTheDevice) {
   EXPECT_TRUE(capture.restores_unchanged_u8(at + 12));
   EXPECT_FALSE(capture.restores_with_u8(at + 12, 3));  // page type
   EXPECT_FALSE(capture.restores_with_u32(at + 4, capture.visible_blocks));
+}
+
+// The bad-block table: a remap pair maps a visible block onto a block of
+// the spare range, no block sits in two pairs, the spare pool holds unused
+// spare-range blocks in ascending order, and the fast-path flags agree
+// with the maps. The default capture's units hold two remaps, two free
+// spares and a retired block between them.
+TEST(SnapshotLoaderValidation, BadBlockTableRejectsARemapOutsideItsRange) {
+  const MutableCapture capture;
+  const std::optional<std::size_t> unit = capture.unit_with(1, 0);
+  ASSERT_TRUE(unit.has_value());
+  const std::size_t at = capture.ref.remap_pairs[*unit].front();
+  EXPECT_TRUE(capture.restores_unchanged_u32(at));
+  EXPECT_TRUE(capture.restores_unchanged_u32(at + 4));
+  EXPECT_FALSE(capture.restores_with_u32(at, capture.visible_blocks));  // a spare
+  EXPECT_FALSE(capture.restores_with_u32(at + 4, capture.visible_blocks - 1));  // visible
+  EXPECT_FALSE(capture.restores_with_u32(at + 4, capture.config.geometry.blocks_per_chip));
+}
+
+TEST(SnapshotLoaderValidation, BadBlockTableRejectsABlockInTwoRemaps) {
+  const MutableCapture capture;
+  const std::optional<std::size_t> unit = capture.unit_with(2, 0);
+  ASSERT_TRUE(unit.has_value());
+  const std::vector<std::size_t>& pairs = capture.ref.remap_pairs[*unit];
+  EXPECT_TRUE(capture.restores_unchanged_u32(pairs[1]));
+  EXPECT_FALSE(capture.restores_with_u32(pairs[1], capture.u32_at(pairs[0])));
+  EXPECT_FALSE(capture.restores_with_u32(pairs[1] + 4, capture.u32_at(pairs[0] + 4)));
+}
+
+TEST(SnapshotLoaderValidation, BadBlockTableRejectsASparePoolOutOfRangeOrOrder) {
+  const MutableCapture capture;
+  const std::optional<std::size_t> unit = capture.unit_with(0, 2);
+  ASSERT_TRUE(unit.has_value());
+  const std::vector<std::size_t>& pool = capture.ref.spare_pool[*unit];
+  const std::uint32_t first = capture.u32_at(pool[0]);
+  const std::uint32_t second = capture.u32_at(pool[1]);
+  EXPECT_TRUE(capture.restores_with_u32s({{pool[0], first}, {pool[1], second}}));
+  EXPECT_FALSE(capture.restores_with_u32(pool[0], capture.visible_blocks - 1));
+  EXPECT_FALSE(capture.restores_with_u32(pool[1], capture.config.geometry.blocks_per_chip));
+  EXPECT_FALSE(capture.restores_with_u32(pool[1], first));  // twice
+  EXPECT_FALSE(capture.restores_with_u32s({{pool[0], second}, {pool[1], first}}));
+}
+
+TEST(SnapshotLoaderValidation, BadBlockTableRejectsASpareThatBacksABlock) {
+  // Factory marks under this seed leave a unit with a remap and a free
+  // spare; the default capture has none.
+  const MutableCapture capture(FtlKind::kFlex, /*bad_block_seed=*/7);
+  const std::optional<std::size_t> unit = capture.unit_with(1, 1);
+  ASSERT_TRUE(unit.has_value());
+  const std::size_t spare = capture.ref.spare_pool[*unit].front();
+  const std::uint32_t target = capture.u32_at(capture.ref.remap_pairs[*unit].front() + 4);
+  EXPECT_TRUE(capture.restores_unchanged_u32(spare));
+  EXPECT_FALSE(capture.restores_with_u32(spare, target));
+}
+
+TEST(SnapshotLoaderValidation, BadBlockTableRejectsFlagsThatDisagreeWithTheMaps) {
+  const MutableCapture capture;
+  const std::size_t remap_flag = capture.ref.any_remap_flag;
+  const std::size_t retired_flag = capture.ref.any_retired_flag;
+  ASSERT_EQ(capture.bytes[remap_flag], 1);
+  ASSERT_EQ(capture.bytes[retired_flag], 1);
+  EXPECT_TRUE(capture.restores_unchanged_u8(remap_flag));
+  EXPECT_TRUE(capture.restores_unchanged_u8(retired_flag));
+  EXPECT_FALSE(capture.restores_with_u8(remap_flag, 0));
+  EXPECT_FALSE(capture.restores_with_u8(retired_flag, 0));
+  // Un-retire the one retired block: the flag then announces nothing.
+  std::vector<std::size_t> retired;
+  for (const std::size_t flags : capture.ref.retired_flags) {
+    for (std::uint32_t b = 0; b < capture.visible_blocks; ++b) {
+      if (capture.bytes[flags + b] != 0) retired.push_back(flags + b);
+    }
+  }
+  ASSERT_EQ(retired.size(), 1u);
+  EXPECT_TRUE(capture.restores_unchanged_u8(retired.front()));
+  EXPECT_FALSE(capture.restores_with_u8(retired.front(), 0));
 }
 
 TEST(SnapshotLoaderValidation, TlcRejectsOutOfRangeAddressesAndBlocks) {

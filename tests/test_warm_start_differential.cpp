@@ -153,7 +153,9 @@ TEST(WarmStartDifferential, SweepMatrixDigestColdVsWarmAcrossJobs) {
 }
 
 // The WarmStart file round-trip feeds back into trials unchanged
-// (faultsim --snapshot / --from-snapshot).
+// (faultsim --snapshot / --from-snapshot). The file carries the sealed
+// snapshot stream; the reload verifies it and holds what the capture
+// held, so both digests survive the round trip.
 TEST(WarmStartDifferential, WarmStartFileRoundTrip) {
   FaultSimConfig base;
   const WarmStart warm = make_warm_start(base);
@@ -163,6 +165,9 @@ TEST(WarmStartDifferential, WarmStartFileRoundTrip) {
   const std::optional<WarmStart> loaded = WarmStart::load_file(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->digest(), warm.digest());
+  EXPECT_EQ(loaded->ftl.digest(), warm.ftl.digest());
+  EXPECT_TRUE(loaded->ftl.bytes() == warm.ftl.bytes());
+  EXPECT_TRUE(loaded->oracle == warm.oracle);
 
   FaultSimConfig config = base;
   config.seed = 9;
