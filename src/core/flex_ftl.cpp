@@ -379,13 +379,6 @@ bool FlexFtl::roll_back(Lpn lpn, const nand::PageAddress& destroyed) {
   return true;
 }
 
-std::optional<Lpn> FlexFtl::find_lpn_of(const nand::PageAddress& addr) const {
-  for (Lpn lpn = 0; lpn < mapping_.exported_pages(); ++lpn) {
-    if (mapping_.maps_to(lpn, addr)) return lpn;
-  }
-  return std::nullopt;
-}
-
 std::optional<nand::PageAddress> FlexFtl::find_newest_copy(
     Lpn lpn, const nand::PageAddress& exclude) const {
   std::optional<nand::PageAddress> best;

@@ -211,9 +211,6 @@ class FlexFtl : public ftl::FtlBase {
   /// intact copy elsewhere (true), or unmap it when there is none (false).
   bool roll_back(Lpn lpn, const nand::PageAddress& destroyed);
 
-  /// Find the LPN currently mapped to `addr` (linear scan; recovery only).
-  [[nodiscard]] std::optional<Lpn> find_lpn_of(const nand::PageAddress& addr) const;
-
   /// Media scan for the newest intact copy of `lpn` other than `exclude` —
   /// how recovery rolls an interrupted relocation back to its source.
   [[nodiscard]] std::optional<nand::PageAddress> find_newest_copy(

@@ -38,7 +38,7 @@ RecoveryReport FlexFtl::recover_from_power_loss(
   // acknowledged: discard it.
   for (const nand::PowerLossVictim& victim : victims) {
     const nand::PageAddress addr{victim.chip, victim.block, victim.pos};
-    if (const std::optional<Lpn> lpn = find_lpn_of(addr)) {
+    if (const std::optional<Lpn> lpn = mapping_.lpn_of(addr)) {
       if (roll_back(*lpn, addr)) {
         ++report.relocations_rolled_back;
       } else {
@@ -163,7 +163,7 @@ RecoveryReport FlexFtl::recover_from_power_loss(
           // The pass was not protected (backup allocation failed, or the
           // flush itself was the interrupted program). A stale intact copy
           // elsewhere can still save the data.
-          if (const std::optional<Lpn> lpn = find_lpn_of(lost_addr)) {
+          if (const std::optional<Lpn> lpn = mapping_.lpn_of(lost_addr)) {
             if (roll_back(*lpn, lost_addr)) {
               ++report.relocations_rolled_back;
             } else {
@@ -253,7 +253,7 @@ RecoveryReport FlexFtl::recover_from_power_loss(
           nand::PageState::kValid) {
         continue;
       }
-      if (const std::optional<Lpn> lpn = find_lpn_of(addr)) {
+      if (const std::optional<Lpn> lpn = mapping_.lpn_of(addr)) {
         if (roll_back(*lpn, addr)) {
           ++report.relocations_rolled_back;
         } else {

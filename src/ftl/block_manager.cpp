@@ -171,6 +171,7 @@ void BlockManager::load(ser::Reader& r) {
     r.fail();
     return;
   }
+  std::vector<bool> listed;  // per chip: the block is on the free list
   for (ChipState& chip : per_chip_) {
     if (r.u64() != chip.blocks.size()) {
       r.fail();
@@ -178,34 +179,52 @@ void BlockManager::load(ser::Reader& r) {
     }
     // Counts above a block's page count and free-list entries past the
     // chip's block count would index out of bounds in the next
-    // allocation or GC pass: reject them.
+    // allocation or GC pass: reject them. The pools must also agree with
+    // the blocks, since allocate() hands out the front of the free list
+    // unchecked and GC trusts the counts: no block has more valid than
+    // written pages, kFree and kRetired blocks hold none, the free list
+    // names every kFree block exactly once, and the chip's valid total
+    // is the sum of its blocks'.
+    std::uint64_t valid = 0;
+    std::uint64_t free_blocks = 0;
     for (BlockInfo& bi : chip.blocks) {
       const std::uint8_t raw = r.u8();
       bi.valid_pages = r.u32();
       bi.written_pages = r.u32();
+      bi.use = static_cast<BlockUse>(raw);
+      const bool empty = bi.use == BlockUse::kFree || bi.use == BlockUse::kRetired;
       if (raw > static_cast<std::uint8_t>(BlockUse::kRetired) ||
-          bi.valid_pages > pages_per_block_ || bi.written_pages > pages_per_block_) {
+          bi.written_pages > pages_per_block_ || bi.valid_pages > bi.written_pages ||
+          (empty && bi.written_pages != 0)) {
         r.fail();
         return;
       }
-      bi.use = static_cast<BlockUse>(raw);
       bi.gc_cursor = 0;  // conservative: restored blocks rescan from 0
+      valid += bi.valid_pages;
+      free_blocks += bi.use == BlockUse::kFree;
     }
     chip.free.clear();
     const std::uint64_t free = r.u64();
-    if (free > blocks_per_chip_ || free > r.remaining()) {
+    if (free != free_blocks || free > r.remaining()) {
       r.fail();
       return;
     }
+    listed.assign(chip.blocks.size(), false);
     for (std::uint64_t i = 0; i < free; ++i) {
       const std::uint32_t block = r.u32();
-      if (block >= blocks_per_chip_) {
+      if (block >= blocks_per_chip_ || chip.blocks[block].use != BlockUse::kFree ||
+          listed[block]) {
         r.fail();
         return;
       }
+      listed[block] = true;
       chip.free.push_back(block);
     }
     chip.valid_pages = r.u64();
+    if (chip.valid_pages != valid) {
+      r.fail();
+      return;
+    }
     chip.gain_dirty = true;
   }
 }

@@ -25,7 +25,7 @@ Lpn FtlBase::compute_exported_pages(const FtlConfig& config) {
 FtlBase::FtlBase(const FtlConfig& config, nand::SequenceKind kind)
     : config_(config),
       device_(config.geometry, config.timing, kind, config.bad_blocks),
-      mapping_(compute_exported_pages(config)),
+      mapping_(compute_exported_pages(config), config.geometry),
       blocks_(config.geometry.num_units(), device_.visible_blocks(),
               config.geometry.pages_per_block()) {
   // MLC or TLC; flexFTL is the one policy that runs on both (the others
@@ -202,6 +202,7 @@ bool FtlBase::collect_block_impl(std::uint32_t chip, std::uint32_t victim,
   // rewinds the cursor — a fresh scan would walk those pages only to
   // skip them.
   const std::uint32_t bits = block.bits();
+  constexpr std::uint32_t kLookAhead = 8;
   for (std::uint32_t wl = blocks_.gc_cursor(victim_addr); wl < block.wordlines();
        ++wl) {
     blocks_.set_gc_cursor(victim_addr, wl);
@@ -210,6 +211,10 @@ bool FtlBase::collect_block_impl(std::uint32_t chip, std::uint32_t victim,
       const nand::PagePos pos{wl, nand::type_of_pass(pass, bits)};
       if (block.page_state(pos) != nand::PageState::kValid) continue;
       const nand::PageAddress page_addr{chip, victim, pos};
+      // Prefetch the mapping entry of the page kLookAhead slots on, so its
+      // validity test finds it in cache. The hint counts no read.
+      const std::uint32_t ahead = pos.flat_index(bits) + kLookAhead;
+      if (ahead < block.num_pages()) mapping_.prefetch(block.lpn_hint(ahead));
       // Validity test: does the mapping still point here? (peek — the
       // record is copied only for pages that actually relocate)
       const nand::PageData* record = block.peek(pos);
@@ -466,7 +471,7 @@ void FtlBase::rebuild_mapping() {
     }
   }
   // Pass 2: replace the mapping and the valid-page accounting.
-  MappingTable fresh(mapping_.exported_pages());
+  MappingTable fresh(mapping_.exported_pages(), geometry);
   BlockManager fresh_blocks(geometry.num_units(), device_.visible_blocks(),
                             geometry.pages_per_block());
   // Preserve block roles, written counts and free lists from the old

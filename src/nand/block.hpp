@@ -111,6 +111,14 @@ class Block {
     return s.state == PageState::kValid ? &s.record : nullptr;
   }
 
+  /// The LPN field of flat page slot `index` in any page state
+  /// (kInvalidLpn once erased): a prefetch hint. Unlike peek(), it senses
+  /// nothing, so it leaves reads_since_erase alone.
+  [[nodiscard]] Lpn lpn_hint(std::uint32_t index) const {
+    assert(index < slots_.size());
+    return slots_[index].record.lpn;
+  }
+
   /// Raw page state (for FTL bookkeeping and tests).
   [[nodiscard]] PageState page_state(PagePos pos) const { return slot(pos).state; }
   [[nodiscard]] bool is_programmed(PagePos pos) const {

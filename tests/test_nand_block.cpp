@@ -52,6 +52,24 @@ TEST(Block, ProgramReadRoundTrip) {
   EXPECT_EQ(read.value().signature, 42u);
 }
 
+TEST(Block, LpnHintSensesNothing) {
+  // The GC scan's prefetch hint: the slot's LPN field in any state,
+  // without the read count that peek() and read() charge.
+  Block b(4, SequenceKind::kRps, 3);
+  ASSERT_TRUE(b.program({0, PageType::kLsb}, make_data(7, 42)).is_ok());
+  ASSERT_TRUE(b.program({1, PageType::kLsb}, make_data(8, 43)).is_ok());
+  b.corrupt({1, PageType::kLsb});
+  const auto hint = [&](PagePos pos) { return b.lpn_hint(pos.flat_index(3)); };
+  EXPECT_EQ(hint({0, PageType::kLsb}), 7u);
+  EXPECT_EQ(hint({1, PageType::kLsb}), kInvalidLpn);  // corrupted
+  EXPECT_EQ(hint({0, PageType::kCsb}), kInvalidLpn);  // not programmed
+  EXPECT_EQ(b.reads_since_erase(), 0u);
+  EXPECT_NE(b.peek({0, PageType::kLsb}), nullptr);
+  EXPECT_EQ(b.reads_since_erase(), 1u);
+  b.erase();
+  EXPECT_EQ(hint({0, PageType::kLsb}), kInvalidLpn);
+}
+
 TEST(Block, ReadErasedPage) {
   Block b(4, SequenceKind::kRps);
   EXPECT_EQ(b.read({0, PageType::kLsb}).code(), ErrorCode::kNotProgrammed);

@@ -228,6 +228,12 @@ struct RefStream {
   std::size_t first_mapped_address = 0;  // offset of a mapped entry's chip u32
   std::size_t first_block_counts = 0;    // offset of block 0's valid-count u32
   std::size_t first_free_block = 0;      // offset of a free-list u32, 0 = none
+  // Block pools, per unit: the offset of each block's use byte (its valid
+  // and written u32s follow), of each free-list u32 and of the unit's
+  // valid-page total (a u64).
+  std::vector<std::vector<std::size_t>> block_use;
+  std::vector<std::vector<std::size_t>> free_entries;
+  std::vector<std::size_t> valid_total;
   std::size_t extra_begin = 0;           // offset of the policy's own state
   // Bad-block table, per unit: the offset of each remap pair (visible
   // u32, then physical u32), of each spare-pool u32 and of the retired
@@ -367,9 +373,12 @@ RefStream ref_parse(const std::vector<std::uint8_t>& bytes) {
   ref_parse_device(r, s);
   ref_parse_mapping(r, s);
   const std::uint64_t pool_chips = r.count(8);
+  s.block_use.resize(pool_chips);
+  s.free_entries.resize(pool_chips);
   for (std::uint64_t c = 0; c < pool_chips && r.ok(); ++c) {
     const std::uint64_t blocks = r.count(9);
     for (std::uint64_t b = 0; b < blocks; ++b) {
+      s.block_use[c].push_back(r.pos());
       (void)r.u8();
       if (s.first_block_counts == 0) s.first_block_counts = r.pos();
       (void)r.u32();
@@ -378,8 +387,10 @@ RefStream ref_parse(const std::vector<std::uint8_t>& bytes) {
     const std::uint64_t free = r.count(4);
     for (std::uint64_t i = 0; i < free; ++i) {
       if (s.first_free_block == 0) s.first_free_block = r.pos();
+      s.free_entries[c].push_back(r.pos());
       (void)r.u32();
     }
+    s.valid_total.push_back(r.pos());
     (void)r.u64();
   }
   (void)r.bytes(sizeof(ftl::FtlStats));  // one u64 per counter
@@ -813,6 +824,93 @@ TEST(SnapshotLoaderValidation, BlockManagerRejectsOutOfRangeCountsAndFreeBlocks)
   ASSERT_NE(capture.ref.first_free_block, 0u);
   EXPECT_FALSE(capture.restores_with_u32(capture.ref.first_free_block,
                                          capture.config.geometry.blocks_per_chip));
+}
+
+// The block pools against the blocks they list: every free-list entry
+// names a kFree block, once; every kFree block is listed; kFree and
+// kRetired blocks hold no pages; no block has more valid than written
+// pages; a unit's valid total is the sum of its blocks'. Each plant stays
+// in range, so only these cross-checks can reject it.
+constexpr auto kFullUse = static_cast<std::uint8_t>(ftl::BlockUse::kFull);
+constexpr auto kFreeUse = static_cast<std::uint8_t>(ftl::BlockUse::kFree);
+
+/// The use byte of the capture's one retired block (a factory-bad block
+/// the device had no spare for).
+std::size_t retired_block_use(const MutableCapture& capture) {
+  std::vector<std::size_t> retired;
+  for (const std::vector<std::size_t>& unit : capture.ref.block_use) {
+    for (const std::size_t at : unit) {
+      if (capture.bytes[at] == static_cast<std::uint8_t>(ftl::BlockUse::kRetired)) {
+        retired.push_back(at);
+      }
+    }
+  }
+  EXPECT_EQ(retired.size(), 1u);
+  return retired.empty() ? 0 : retired.front();
+}
+
+TEST(SnapshotLoaderValidation, BlockManagerRejectsAFreeListEntryInUse) {
+  const MutableCapture capture;
+  // Unit 0's block 0 is full and holds valid pages: allocating it from the
+  // free list would hand out live data.
+  const std::size_t use = capture.ref.block_use[0][0];
+  ASSERT_EQ(capture.bytes[use], kFullUse);
+  ASSERT_GT(capture.u32_at(use + 1), 0u);
+  ASSERT_FALSE(capture.ref.free_entries[0].empty());
+  const std::size_t entry = capture.ref.free_entries[0].front();
+  EXPECT_TRUE(capture.restores_unchanged_u32(entry));
+  EXPECT_FALSE(capture.restores_with_u32(entry, 0));
+}
+
+TEST(SnapshotLoaderValidation, BlockManagerRejectsABlockListedTwice) {
+  const MutableCapture capture;
+  const std::vector<std::size_t>& free = capture.ref.free_entries[0];
+  ASSERT_GE(free.size(), 2u);
+  EXPECT_TRUE(capture.restores_unchanged_u32(free[1]));
+  EXPECT_FALSE(capture.restores_with_u32(free[1], capture.u32_at(free[0])));
+}
+
+TEST(SnapshotLoaderValidation, BlockManagerRejectsAFreeBlockMissingFromTheList) {
+  const MutableCapture capture;
+  // A retired block holds no pages; as a kFree block it is off the list.
+  const std::size_t retired = retired_block_use(capture);
+  ASSERT_NE(retired, 0u);
+  EXPECT_TRUE(capture.restores_unchanged_u8(retired));
+  EXPECT_FALSE(capture.restores_with_u8(retired, kFreeUse));
+}
+
+TEST(SnapshotLoaderValidation, BlockManagerRejectsPagesOnAFreeOrRetiredBlock) {
+  const MutableCapture capture;
+  const std::size_t free = capture.ref.block_use[0][capture.u32_at(
+      capture.ref.free_entries[0].front())];
+  ASSERT_EQ(capture.bytes[free], kFreeUse);
+  const std::size_t retired = retired_block_use(capture);
+  ASSERT_NE(retired, 0u);
+  for (const std::size_t use : {free, retired}) {
+    const std::size_t written = use + 5;
+    EXPECT_TRUE(capture.restores_unchanged_u32(written));
+    EXPECT_FALSE(capture.restores_with_u32(written, 1));
+  }
+}
+
+TEST(SnapshotLoaderValidation, BlockManagerRejectsMoreValidThanWrittenPages) {
+  const MutableCapture capture;
+  const std::size_t use = capture.ref.block_use[0][0];
+  const std::uint32_t valid = capture.u32_at(use + 1);
+  ASSERT_GT(valid, 0u);
+  EXPECT_TRUE(capture.restores_unchanged_u32(use + 5));
+  EXPECT_TRUE(capture.restores_with_u32(use + 5, valid));
+  EXPECT_FALSE(capture.restores_with_u32(use + 5, valid - 1));
+}
+
+TEST(SnapshotLoaderValidation, BlockManagerRejectsAValidTotalOffTheBlocksSum) {
+  const MutableCapture capture;
+  const std::size_t total = capture.ref.valid_total[0];
+  const std::uint32_t low = capture.u32_at(total);
+  ASSERT_GT(low, 0u);
+  EXPECT_TRUE(capture.restores_unchanged_u32(total));
+  EXPECT_FALSE(capture.restores_with_u32(total, low + 1));
+  EXPECT_FALSE(capture.restores_with_u32(total, low - 1));
 }
 
 TEST(SnapshotLoaderValidation, ChipRejectsOutOfRangeBlockIndices) {
