@@ -19,7 +19,7 @@ int main() {
   reliability::StudyConfig config;
   config.blocks = 96;       // "more than 90 blocks"
   config.wordlines = 64;
-  config.interference.cells_per_wordline = 1024;
+  config.cells_per_wordline = 1024;
   config.seed = 42;
 
   const std::vector<Scheme> schemes = {Scheme::kFps, Scheme::kRpsFull,
@@ -30,7 +30,7 @@ int main() {
   std::printf("Fig. 4(a): per-page sum of Vth distribution widths (WPi) [V]\n");
   std::printf("%u blocks x %u word lines, %u cells per word line\n\n",
               config.blocks, config.wordlines,
-              config.interference.cells_per_wordline);
+              config.cells_per_wordline);
 
   TablePrinter table({"Scheme", "min", "q1", "median", "q3", "max", "mean",
                       "aggressors(max)"});

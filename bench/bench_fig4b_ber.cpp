@@ -14,7 +14,7 @@ int main() {
   reliability::StudyConfig config;
   config.blocks = 96;
   config.wordlines = 64;
-  config.interference.cells_per_wordline = 1024;
+  config.cells_per_wordline = 1024;
   config.stress = reliability::StressCondition::worst_case();
   config.seed = 42;
 

@@ -8,7 +8,7 @@
 #include "src/ftl/page_ftl.hpp"
 #include "src/nand/device.hpp"
 #include "src/nand/program_order.hpp"
-#include "src/reliability/interference.hpp"
+#include "src/reliability/study.hpp"
 #include "src/util/random.hpp"
 
 using namespace rps;
@@ -128,12 +128,10 @@ BENCHMARK(BM_FlexFtlRead);
 
 void BM_InterferenceBlock(benchmark::State& state) {
   Rng rng(3);
-  reliability::InterferenceConfig config;
-  config.cells_per_wordline = 256;
+  const reliability::VthModel model = reliability::VthModel::mlc();
   const nand::ProgramOrder order = nand::rps_full_order(16);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        reliability::simulate_block(order, 16, config, rng));
+    benchmark::DoNotOptimize(reliability::simulate_block(order, model, 256, rng));
   }
 }
 BENCHMARK(BM_InterferenceBlock);

@@ -4,10 +4,12 @@
 // fast-phase capacity RPS unlocks: the whole block's LSB pages become one
 // consecutive fast run instead of FPS's three-page prefix.
 #include <cstdio>
+#include <iterator>
+#include <string>
 
 #include "src/core/flex_ftl.hpp"
 #include "src/nand/program_order.hpp"
-#include "src/reliability/tlc_study.hpp"
+#include "src/reliability/study.hpp"
 #include "src/util/stats.hpp"
 #include "src/util/table.hpp"
 
@@ -84,13 +86,19 @@ int main() {
   std::printf("TLC reliability (Fig. 4 methodology, 8-state Vth model):\n");
   TablePrinter reliability({"Scheme", "median WPi [V]", "mean BER (x1e-3)",
                             "max aggressors"});
-  const reliability::TlcStudyConfig config;
-  for (const reliability::TlcScheme scheme :
-       {reliability::TlcScheme::kFps, reliability::TlcScheme::kRpsFull,
-        reliability::TlcScheme::kRpsRandom, reliability::TlcScheme::kUnconstrained}) {
-    const reliability::TlcStudyResult r =
-        reliability::run_tlc_study(scheme, 48, 48, config, 42);
-    reliability.add_row({to_string(scheme),
+  reliability::StudyConfig config;
+  config.blocks = 48;
+  config.wordlines = 48;
+  config.cells_per_wordline = 512;
+  config.model = reliability::VthModel::tlc();
+  config.stress = reliability::StressCondition::fresh();
+  using reliability::Scheme;
+  const Scheme schemes[] = {Scheme::kFps, Scheme::kRpsFull, Scheme::kRpsRandom,
+                            Scheme::kUnconstrained};
+  for (std::uint64_t row = 0; row < std::size(schemes); ++row) {
+    config.seed = 42 ^ (row << 40);  // one Monte-Carlo stream per table row
+    const reliability::StudyResult r = run_study(schemes[row], config);
+    reliability.add_row({"TLC-" + std::string(to_string(r.scheme)),
                          TablePrinter::fmt(r.wpi_per_page.median(), 4),
                          TablePrinter::fmt(r.ber_per_page.mean() * 1e3, 3),
                          TablePrinter::fmt(r.aggressors.max(), 0)});

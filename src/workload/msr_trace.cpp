@@ -1,7 +1,6 @@
 #include "src/workload/msr_trace.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -23,14 +22,6 @@ std::vector<std::string_view> split_csv(std::string_view line) {
     start = comma + 1;
   }
   return fields;
-}
-
-template <typename T>
-bool parse_number(std::string_view text, T& out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc() && ptr == end;
 }
 
 bool equals_ignore_case(std::string_view a, std::string_view b) {

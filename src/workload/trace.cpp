@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace rps::workload {
@@ -91,9 +92,13 @@ Result<Trace> Trace::load(const std::string& path) {
       continue;
     }
     std::istringstream fields(line);
+    std::string arrival, kind, lpn, pages, extra;
     IoRequest r;
-    std::string kind;
-    if (!(fields >> r.arrival_us >> kind >> r.lpn >> r.page_count)) {
+    const bool parsed = fields >> arrival >> kind >> lpn >> pages && !(fields >> extra) &&
+                        (kind == "R" || kind == "W") && parse_number(arrival, r.arrival_us) &&
+                        parse_number(lpn, r.lpn) && parse_number(pages, r.page_count);
+    if (!parsed || r.page_count > std::numeric_limits<Lpn>::max() - r.lpn ||
+        (!trace.empty() && r.arrival_us < trace.requests_.back().arrival_us)) {
       return ErrorCode::kInvalidArgument;
     }
     r.kind = kind == "R" ? IoKind::kRead : IoKind::kWrite;

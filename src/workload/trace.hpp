@@ -2,8 +2,10 @@
 // (Table 1's read:write ratio and I/O intensiveness) and text-file I/O.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/util/result.hpp"
@@ -40,6 +42,15 @@ struct TraceStats {
   [[nodiscard]] std::string intensiveness() const;
 };
 
+/// The whole of `text` as a T, by std::from_chars rules: no '+', and no
+/// '-' for an unsigned T.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 class Trace {
  public:
   Trace() = default;
@@ -67,7 +78,10 @@ class Trace {
   [[nodiscard]] TraceStats stats(Microseconds idle_threshold_us = 1000) const;
 
   /// Plain-text serialization: one "<arrival_us> <R|W> <lpn> <pages>" line
-  /// per request.
+  /// per request. load rejects (kInvalidArgument) a line with other than
+  /// those four fields, a kind other than R or W, a signed LPN or page
+  /// count, a range past the last LPN, or an arrival before the previous
+  /// one.
   Status save(const std::string& path) const;
   static Result<Trace> load(const std::string& path);
 

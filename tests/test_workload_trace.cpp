@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 namespace rps::workload {
 namespace {
@@ -76,6 +77,34 @@ TEST(Trace, SaveLoadRoundTrip) {
   ASSERT_TRUE(loaded.is_ok());
   EXPECT_EQ(loaded.value().name(), "demo");
   EXPECT_EQ(loaded.value().requests(), original.requests());
+  std::filesystem::remove(path);
+}
+
+TEST(Trace, LoadRejectsMalformedLines) {
+  const std::string path = testing::TempDir() + "rps_trace_malformed.txt";
+  // Control: a saved trace loads, and equal arrivals are in order.
+  Trace ties = make_trace();
+  ties.add({5'000, IoKind::kRead, 0, 1});
+  ASSERT_TRUE(ties.save(path).is_ok());
+  Result<Trace> loaded = Trace::load(path);
+  ASSERT_TRUE(loaded.is_ok());
+  EXPECT_EQ(loaded.value().requests(), ties.requests());
+
+  for (const char* body : {
+           "100 W 0 1\n50 W 1 1\n",             // arrivals decrease
+           "0 W -1 1\n",                        // signed LPN
+           "0 W 1 -1\n",                        // signed page count
+           "0 W +1 1\n",                        // signed LPN
+           "0 W 18446744073709551615 1\n",      // range past the last LPN
+           "0 X 0 1\n",                         // unknown kind
+           "0 r 0 1\n",                         // kinds are upper case
+           "0 W 0 1 extra\n",                   // trailing token
+           "0 W 0\n",                           // missing field
+           "0x10 W 0 1\n",                      // arrival not decimal
+       }) {
+    std::ofstream(path) << "# flexnand trace: bad\n" << body;
+    EXPECT_EQ(Trace::load(path).code(), ErrorCode::kInvalidArgument) << body;
+  }
   std::filesystem::remove(path);
 }
 
